@@ -330,21 +330,7 @@ impl Shard {
         if span.is_recording() {
             span.add(pcnn_trace::Counter::Frames, frames.len() as u64);
         }
-        let model = {
-            let mut state = self.lock_state();
-            let generation = state.model.generation;
-            *state.in_flight.entry(generation).or_insert(0) += 1;
-            Arc::clone(&state.model)
-        };
-        let results = self.serve_with(&model, frames);
-        let mut state = self.lock_state();
-        let count = state.in_flight.get_mut(&model.generation).expect("registered generation");
-        *count -= 1;
-        if *count == 0 {
-            state.in_flight.remove(&model.generation);
-            self.batch_done.notify_all();
-        }
-        results
+        self.serve_current(|server| server.detect_batch(frames))
     }
 
     /// Serves one frame of a video stream with the currently installed
@@ -365,63 +351,68 @@ impl Shard {
         if span.is_recording() {
             span.add(pcnn_trace::Counter::Frames, 1);
         }
-        let model = {
-            let mut state = self.lock_state();
-            let generation = state.model.generation;
-            *state.in_flight.entry(generation).or_insert(0) += 1;
-            Arc::clone(&state.model)
-        };
-        // The stream's state leaves the store while its frame runs, so
-        // a long frame never blocks other streams on the store lock.
-        let mut stream_state = self.lock_streams().take(stream);
-
-        let mut chain = FallbackChain::new().push_level(model.level());
-        if let Some(fallback) = &self.fallback {
-            chain = chain.push_level(fallback.level());
-        }
-        let server = DetectionServer::with_chain(Detector::new(self.engine), chain, self.config)
-            .expect("shard config validated at cluster build");
-        let result = server.detect_stream_state(&mut stream_state, frame);
-        let batch_report = server.report(None);
-        {
-            let mut report = self.lock_report();
-            *report = RuntimeReport { workers: self.config.workers, ..report.merge(&batch_report) };
-        }
-        self.lock_streams().put(stream, stream_state);
-
-        let mut state = self.lock_state();
-        if let Some(count) = state.in_flight.get_mut(&model.generation) {
-            *count -= 1;
-            if *count == 0 {
-                state.in_flight.remove(&model.generation);
-                self.batch_done.notify_all();
-            }
-        }
-        drop(state);
-        result
+        self.serve_current(|server| {
+            // The stream's state leaves the store while its frame runs,
+            // so a long frame never blocks other streams on the lock.
+            let mut state = self.lock_streams().take(stream);
+            let result = server.detect_stream_state(&mut state, frame);
+            self.lock_streams().put(stream, state);
+            result
+        })
     }
 
-    /// One batch through a transient [`DetectionServer`] built around
-    /// `model` (and the fallback floor, when configured), with the
-    /// batch's report merged into the shard accumulator.
-    fn serve_with(
-        &self,
-        model: &ShardModel,
-        frames: &[&GrayImage],
-    ) -> Vec<Result<Vec<Detection>, Error>> {
+    /// Runs `serve` on a transient [`DetectionServer`] over the
+    /// installed model (and the fallback floor, when configured) while
+    /// the call is registered in flight under the model's generation,
+    /// then merges the server's report into the shard accumulator.
+    fn serve_current<T>(&self, serve: impl FnOnce(&DetectionServer<'_>) -> T) -> T {
+        let in_flight = InFlight::register(self);
+        let model = &in_flight.model;
         let mut chain = FallbackChain::new().push_level(model.level());
         if let Some(fallback) = &self.fallback {
             chain = chain.push_level(fallback.level());
         }
         let server = DetectionServer::with_chain(Detector::new(self.engine), chain, self.config)
             .expect("shard config validated at cluster build");
-        let results = server.detect_batch(frames);
-        let batch_report = server.report(None);
+        let out = serve(&server);
+        let call_report = server.report(None);
         let mut report = self.lock_report();
         // merge() sums `workers` (an aggregate over shards reports total
         // threads); within one shard the pool size is constant.
-        *report = RuntimeReport { workers: self.config.workers, ..report.merge(&batch_report) };
-        results
+        *report = RuntimeReport { workers: self.config.workers, ..report.merge(&call_report) };
+        out
+    }
+}
+
+/// A call registered in flight under the model generation it serves, so
+/// [`Shard::install`] drains it before returning. Dropping the guard —
+/// also while unwinding — releases the registration, tolerating a
+/// [`Shard::respawn`] that already cleared it.
+struct InFlight<'s> {
+    shard: &'s Shard,
+    model: Arc<ShardModel>,
+}
+
+impl<'s> InFlight<'s> {
+    fn register(shard: &'s Shard) -> Self {
+        let mut state = shard.lock_state();
+        let model = Arc::clone(&state.model);
+        *state.in_flight.entry(model.generation).or_insert(0) += 1;
+        InFlight { shard, model }
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        let mut state = self.shard.lock_state();
+        let generation = self.model.generation;
+        if let Some(count) = state.in_flight.get_mut(&generation) {
+            *count -= 1;
+            if *count == 0 {
+                state.in_flight.remove(&generation);
+                self.shard.batch_done.notify_all();
+            }
+        }
     }
 }
 
@@ -503,5 +494,23 @@ mod tests {
         // install() after a respawn must not hang on the stale count.
         let generation = shard.install(small_detector());
         assert_eq!(generation, 2);
+    }
+
+    /// A call whose registration a respawn clears mid-call still
+    /// completes — releasing an already-cleared registration is a no-op
+    /// — and leaves nothing behind for a later install to wait on.
+    #[test]
+    fn respawn_during_a_registered_call_lets_the_call_finish() {
+        let shard = small_shard();
+        let frame = GrayImage::new(64, 128);
+        let results = shard.serve_current(|server| {
+            assert_eq!(shard.lock_state().in_flight.get(&0), Some(&1), "call registered");
+            assert_eq!(shard.respawn(small_detector()), 1);
+            server.detect_batch(&[&frame])
+        });
+        assert!(results[0].is_ok(), "{results:?}");
+        assert!(shard.lock_state().in_flight.is_empty(), "nothing left registered");
+        assert_eq!(shard.install(small_detector()), 2, "install does not wait on the old call");
+        assert_eq!(shard.report().frames_served, 1, "the call's report still merged");
     }
 }

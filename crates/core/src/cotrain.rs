@@ -16,9 +16,8 @@
 use crate::classifier::{EednClassifier, EednClassifierConfig, WindowClassifier};
 use crate::extractor::Extractor;
 use crate::pipeline::Detector;
-use pcnn_hog::block::assemble_descriptor;
 use pcnn_svm::{mine_hard_negatives, FeatureScaler, MiningConfig, TrainConfig};
-use pcnn_vision::{SynthDataset, WINDOW_HEIGHT, WINDOW_WIDTH};
+use pcnn_vision::SynthDataset;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
@@ -76,25 +75,14 @@ impl PartitionedSystem {
         cell_stride: usize,
     ) -> Vec<Vec<f32>> {
         let grid = Detector::cell_grid(extractor, img);
-        let wcx = WINDOW_WIDTH / 8;
-        let wcy = WINDOW_HEIGHT / 8;
-        let mut out = Vec::new();
-        if grid.len() < wcy || grid[0].len() < wcx {
-            return out;
-        }
-        let norm = extractor.norm();
-        let mut cy0 = 0;
-        while cy0 + wcy <= grid.len() {
-            let mut cx0 = 0;
-            while cx0 + wcx <= grid[0].len() {
-                let sub: Vec<Vec<Vec<f32>>> =
-                    grid[cy0..cy0 + wcy].iter().map(|r| r[cx0..cx0 + wcx].to_vec()).collect();
-                out.push(assemble_descriptor(&sub, norm));
-                cx0 += cell_stride;
-            }
-            cy0 += cell_stride;
-        }
-        out
+        let (rows, cols) = Detector::window_grid(grid.first().map_or(0, Vec::len), grid.len());
+        (0..rows)
+            .step_by(cell_stride)
+            .flat_map(|cy0| (0..cols).step_by(cell_stride).map(move |cx0| (cx0, cy0)))
+            .map(|(cx0, cy0)| {
+                Detector::assemble_window(extractor, cx0, cy0, |cx, cy| &grid[cy][cx])
+            })
+            .collect()
     }
 
     /// Trains the SVM-classified partitioned system (the Fig. 4

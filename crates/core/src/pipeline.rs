@@ -89,79 +89,80 @@ impl Detector {
             .collect()
     }
 
-    /// Number of valid window start rows in a level's cell grid (0 when
-    /// the level is too small to hold one window).
-    pub fn window_rows(grid: &[Vec<Vec<f32>>]) -> usize {
+    /// Valid window origins `(rows, cols)` over a `cells_x × cells_y`
+    /// cell grid — `(0, 0)` when the grid is too small to hold one
+    /// 64×128 window.
+    pub fn window_grid(cells_x: usize, cells_y: usize) -> (usize, usize) {
         let window_cells_x = WINDOW_WIDTH / CELL_SIZE;
         let window_cells_y = WINDOW_HEIGHT / CELL_SIZE;
-        if grid.len() < window_cells_y || grid[0].len() < window_cells_x {
-            0
+        if cells_x < window_cells_x || cells_y < window_cells_y {
+            (0, 0)
         } else {
-            grid.len() - window_cells_y + 1
+            (cells_y - window_cells_y + 1, cells_x - window_cells_x + 1)
         }
     }
 
-    /// Scores every window whose top cell row lies in `rows`, against a
-    /// precomputed [`cell_grid`](Detector::cell_grid) of one pyramid
-    /// level at `scale`. Returns raw (pre-NMS) detections above the
-    /// score floor, in original-image coordinates, ordered row-major —
-    /// the exact order the serial scan visits them. This is the work
-    /// unit the serving runtime parallelizes over: concatenating chunk
-    /// results in row order reproduces the serial scan bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` extends past
-    /// [`window_rows`](Detector::window_rows).
-    pub fn score_rows(
-        &self,
-        detector: &TrainedDetector,
-        grid: &[Vec<Vec<f32>>],
-        scale: f32,
-        rows: std::ops::Range<usize>,
-    ) -> Vec<Detection> {
-        assert!(
-            rows.end <= Self::window_rows(grid),
-            "row range {rows:?} exceeds {} valid window rows",
-            Self::window_rows(grid)
-        );
+    /// The descriptor of the window whose top-left cell is `(cx0, cy0)`,
+    /// assembled from its 8×16 cells as `cell(cx, cy)` returns them —
+    /// whatever layout the caller keeps its cell histograms in.
+    pub fn assemble_window<'a>(
+        extractor: &Extractor,
+        cx0: usize,
+        cy0: usize,
+        cell: impl Fn(usize, usize) -> &'a [f32],
+    ) -> Vec<f32> {
         let window_cells_x = WINDOW_WIDTH / CELL_SIZE;
         let window_cells_y = WINDOW_HEIGHT / CELL_SIZE;
-        let norm = detector.extractor.norm();
-        let mut raw = Vec::new();
-        for cy0 in rows {
-            for cx0 in 0..=(grid[0].len() - window_cells_x) {
-                let sub: Vec<Vec<Vec<f32>>> = grid[cy0..cy0 + window_cells_y]
-                    .iter()
-                    .map(|row| row[cx0..cx0 + window_cells_x].to_vec())
-                    .collect();
-                let descriptor = assemble_descriptor(&sub, norm);
-                let score = detector.classifier.score(&descriptor);
-                if score < self.config.score_floor {
-                    continue;
-                }
+        let sub: Vec<Vec<Vec<f32>>> = (cy0..cy0 + window_cells_y)
+            .map(|cy| (cx0..cx0 + window_cells_x).map(|cx| cell(cx, cy).to_vec()).collect())
+            .collect();
+        assemble_descriptor(&sub, extractor.norm())
+    }
+
+    /// The raw (pre-NMS) detections of one pyramid level at `scale`,
+    /// given every window's score row-major over a grid `cols` windows
+    /// wide: the windows at or above the score floor, in original-image
+    /// coordinates and serial scan order (row, then column).
+    pub fn window_detections<'s>(
+        &self,
+        scale: f32,
+        cols: usize,
+        scores: &'s [f32],
+    ) -> impl Iterator<Item = Detection> + 's {
+        let floor = self.config.score_floor;
+        scores.iter().enumerate().filter(move |&(_, &score)| score >= floor).map(
+            move |(w, &score)| {
                 let bbox = BoundingBox::new(
-                    (cx0 * CELL_SIZE) as f32,
-                    (cy0 * CELL_SIZE) as f32,
+                    ((w % cols) * CELL_SIZE) as f32,
+                    ((w / cols) * CELL_SIZE) as f32,
                     WINDOW_WIDTH as f32,
                     WINDOW_HEIGHT as f32,
                 )
                 .unscale(scale);
-                raw.push(Detection { bbox, score });
-            }
-        }
-        raw
+                Detection { bbox, score }
+            },
+        )
     }
 
     /// Runs detection over one image, returning NMS-filtered detections
-    /// in original-image coordinates.
+    /// in original-image coordinates. This is the serial reference the
+    /// serving runtime's staged, cached pipeline is pinned against.
     pub fn detect(&self, detector: &TrainedDetector, img: &GrayImage) -> Vec<Detection> {
         let pyramid = scale_pyramid(img, self.config.pyramid);
         let mut raw: Vec<Detection> = Vec::new();
         for level in &pyramid.levels {
             let grid = Self::cell_grid(&detector.extractor, &level.image);
-            let rows = Self::window_rows(&grid);
-            raw.extend(self.score_rows(detector, &grid, level.scale, 0..rows));
+            let (rows, cols) = Self::window_grid(grid.first().map_or(0, Vec::len), grid.len());
+            let scores: Vec<f32> = (0..rows * cols)
+                .map(|w| {
+                    let descriptor =
+                        Self::assemble_window(&detector.extractor, w % cols, w / cols, |cx, cy| {
+                            &grid[cy][cx]
+                        });
+                    detector.classifier.score(&descriptor)
+                })
+                .collect();
+            raw.extend(self.window_detections(level.scale, cols, &scores));
         }
         non_maximum_suppression(raw, self.config.nms_epsilon)
     }
@@ -214,6 +215,16 @@ mod tests {
         assert_eq!(grid.len(), 12);
         assert_eq!(grid[0].len(), 10);
         assert_eq!(grid[0][0].len(), 18);
+    }
+
+    #[test]
+    fn window_grid_counts_valid_window_origins() {
+        // A 64×128 window spans 8×16 cells.
+        assert_eq!(Detector::window_grid(8, 16), (1, 1));
+        assert_eq!(Detector::window_grid(10, 20), (5, 3));
+        assert_eq!(Detector::window_grid(7, 40), (0, 0), "too narrow");
+        assert_eq!(Detector::window_grid(40, 15), (0, 0), "too short");
+        assert_eq!(Detector::window_grid(0, 0), (0, 0));
     }
 
     #[test]

@@ -10,6 +10,13 @@
 //! re-run the extractor, and only windows touching a changed cell
 //! re-run the classifier.
 //!
+//! The cache is the memo of the server's detection pipeline: every
+//! frame, batch or stream, runs through a [`CellCache`]. A batch frame's
+//! cache is fresh and dropped after the frame, so nothing is hashed and
+//! every cell and window is computed; a stream keeps its cache between
+//! frames. Cache keying — the frame hash, the cell patch hash, the
+//! window hash — lives only in this module (see `LevelCache::refresh`).
+//!
 //! # Determinism contract
 //!
 //! A cached result is only ever reused when the exact input bits that
@@ -31,9 +38,14 @@
 //! [`CellCache::invalidate`] directly, as cluster shards do when a
 //! blue/green install publishes a new generation.
 
-use pcnn_hog::cell::CELL_SIZE;
-use pcnn_vision::{Detection, GrayImage};
+use pcnn_core::pipeline::Detector;
+use pcnn_core::Extractor;
+use pcnn_hog::cell::{cell_patch, CELL_SIZE};
+use pcnn_vision::pyramid::PyramidLevel;
+use pcnn_vision::{Detection, GrayImage, WINDOW_HEIGHT, WINDOW_WIDTH};
 
+const WINDOW_CELLS_X: usize = WINDOW_WIDTH / CELL_SIZE;
+const WINDOW_CELLS_Y: usize = WINDOW_HEIGHT / CELL_SIZE;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -132,6 +144,74 @@ impl LevelCache {
                     .copied()
             }),
         )
+    }
+
+    /// Brings this level up to date with `level`, the same pyramid level
+    /// of the next frame, and returns its cell counts with the row-major
+    /// indices of the windows whose cached score is stale.
+    ///
+    /// With `reuse`, a cell re-runs `extractor` only when the hash of its
+    /// padded patch changed, and a window goes stale only when the hash
+    /// over its cells did. Without it every cell is extracted and every
+    /// window is stale, and nothing is hashed: the caller drops the
+    /// cache afterwards, so no later frame would read the hashes.
+    pub(crate) fn refresh(
+        &mut self,
+        level: &PyramidLevel,
+        extractor: &Extractor,
+        reuse: bool,
+    ) -> (CacheStats, Vec<usize>) {
+        let cells_x = level.image.width() / CELL_SIZE;
+        let cells_y = level.image.height() / CELL_SIZE;
+        if !self.matches(cells_x, cells_y, level.scale) {
+            *self = LevelCache {
+                cells_x,
+                cells_y,
+                scale: level.scale,
+                cell_hashes: vec![0; cells_x * cells_y],
+                histograms: vec![Vec::new(); cells_x * cells_y],
+                window_hashes: Vec::new(),
+                window_scores: Vec::new(),
+            };
+        }
+        let mut stats = CacheStats::default();
+        for idx in 0..cells_x * cells_y {
+            let (cx, cy) = (idx % cells_x, idx / cells_x);
+            if reuse {
+                let h = cell_patch_hash(&level.image, cx, cy);
+                // An empty histogram marks a never-computed cell (fresh
+                // level), which must recompute even if its stored hash
+                // happens to collide.
+                if self.cell_hashes[idx] == h && !self.histograms[idx].is_empty() {
+                    stats.cells_reused += 1;
+                    continue;
+                }
+                self.cell_hashes[idx] = h;
+            }
+            self.histograms[idx] =
+                extractor.cell_histogram(&cell_patch(&level.image, 0, 0, cx, cy));
+            stats.cells_recomputed += 1;
+        }
+
+        let (rows, cols) = Detector::window_grid(cells_x, cells_y);
+        let n = rows * cols;
+        let warm = self.window_hashes.len() == n && self.window_scores.len() == n;
+        if !warm {
+            self.window_hashes = vec![0; n];
+            self.window_scores = vec![0.0; n];
+        }
+        if !reuse {
+            return (stats, (0..n).collect());
+        }
+        let stale = (0..n)
+            .filter(|&w| {
+                let h = self.window_hash(w / cols, w % cols, WINDOW_CELLS_X, WINDOW_CELLS_Y);
+                let changed = !warm || self.window_hashes[w] != h;
+                self.window_hashes[w] = h;
+                changed
+            })
+            .collect();
+        (stats, stale)
     }
 }
 

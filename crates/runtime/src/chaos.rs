@@ -5,7 +5,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Injects panics into the classify stage of a
 /// [`DetectionServer`](crate::DetectionServer): the first `panics`
 /// classify chunks belonging to batch-relative frame `frame` panic
-/// instead of scoring. Attach with
+/// instead of scoring. A stream frame is frame 0 of its own one-frame
+/// batch. Attach with
 /// [`DetectionServer::with_panic_injection`](crate::DetectionServer::with_panic_injection).
 ///
 /// The supervision contract this exists to pin: an injected panic

@@ -16,7 +16,12 @@
 //!   neurosynaptic simulator's [`SystemStats`](pcnn_truenorth::SystemStats)
 //!   threaded through;
 //! * [`server`] — [`DetectionServer`], the front-end tying the three
-//!   together;
+//!   together: one staged pipeline over (frame, [`CellCache`]) pairs —
+//!   cache probe, pyramid, cells, classify, NMS — that a batch runs
+//!   over fresh caches it then drops (nothing is hashed, every cell and
+//!   window is computed) and a stream frame over the stream's own
+//!   cache, with the per-window code taken from
+//!   [`Detector`](pcnn_core::pipeline::Detector);
 //! * [`cache`] / [`stream`] — temporal video serving: a per-stream
 //!   [`CellCache`] diffs each frame's pyramid cells against the
 //!   previous frame so only changed cells re-run the extractor (and
@@ -53,11 +58,14 @@
 //!
 //! The scheduler never lets thread timing reach the output: work items
 //! are pure functions of their inputs, results are reassembled by item
-//! index, and chunk concatenation follows the serial scan order. The
-//! only caveat is stochastic extractors (Parrot with `StochasticRounds`
-//! noise), whose RNG draws interleave across threads; noise-free
-//! configurations — everything the paper evaluates — are exactly
-//! reproducible.
+//! index, and raw detections are rebuilt in the serial scan order. The
+//! caveat is extraction that draws from one sequential RNG: stochastic
+//! Parrot coding (`StochasticRounds` noise) and `HardwareNApprox` under
+//! a spike drop, duplication or jitter fault plan, whose corelet sits
+//! behind a `Mutex`. Their draws interleave across threads, and a
+//! cache hit skips draws, so such a run depends on the worker count and
+//! a cached stream differs from a cold run. Noise-free configurations
+//! are exactly reproducible, cached or cold.
 //!
 //! ```
 //! use pcnn_runtime::{DetectionServer, RuntimeConfig};

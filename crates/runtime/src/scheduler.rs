@@ -21,7 +21,7 @@ pub struct Chunk {
     pub rows: std::ops::Range<usize>,
 }
 
-/// Splits `window_rows` of each grid into chunks of at most
+/// Splits the valid window rows of each grid into chunks of at most
 /// `chunk_rows` rows, emitted in (frame, level, row) order so that
 /// concatenating chunk results by chunk index reproduces the serial
 /// scan order.

@@ -1,36 +1,44 @@
 //! The detection server: batched, parallel frame serving with metrics.
 //!
-//! [`DetectionServer`] wraps a trained detector and executes the
-//! detection pipeline stage by stage on a fixed worker pool:
+//! [`DetectionServer`] wraps a trained detector and runs the paper's
+//! pipeline once, as stages over (frame, [`CellCache`]) pairs on a
+//! fixed worker pool:
 //!
-//! 1. **pyramid** — one work item per frame;
-//! 2. **cells** — one work item per (frame, pyramid level);
-//! 3. **classify** — one work item per window-row chunk;
-//! 4. **nms** — merge chunk results in scan order, then one NMS item
-//!    per frame.
+//! 1. **cache probe** — a stream frame identical to its cache's last
+//!    frame reuses that frame's detections;
+//! 2. **pyramid** — one work item per frame;
+//! 3. **cells** — one work item per (frame, pyramid level), hashing the
+//!    level's cells and extracting only the changed ones;
+//! 4. **classify** — one work item per window-row chunk, scoring only
+//!    the stale windows;
+//! 5. **nms** — one work item per frame, rebuilding the raw detections
+//!    from the cached window scores in serial scan order (level, row,
+//!    column) and suppressing them, exactly as [`Detector::detect`]
+//!    does with freshly computed scores.
 //!
-//! Chunk results are concatenated in (frame, level, row) order before
-//! NMS, so the parallel output is bit-identical to
-//! [`Detector::detect`]'s serial scan for any worker count.
+//! [`detect_batch`](DetectionServer::detect_batch) passes fresh caches
+//! and drops them, so it skips the probe and the hashing and computes
+//! every cell and window once; [`detect_stream`](DetectionServer::detect_stream)
+//! passes the stream's own cache and then updates its tracker. Either
+//! way the per-window code is [`Detector`]'s, and the output is
+//! bit-identical to [`Detector::detect`]'s serial scan for any worker
+//! count.
 
-use crate::cache::{cell_patch_hash, frame_hash, CacheStats, CellCache, LevelCache};
+use crate::cache::{frame_hash, CacheStats, CellCache, LevelCache};
 use crate::chaos::PanicInjector;
 use crate::degrade::FallbackChain;
 use crate::metrics::{LevelReport, Metrics, RuntimeReport, Stage};
 use crate::queue::{Backpressure, PushError, QueueConfig, RequestQueue};
-use crate::scheduler::{plan_chunks, try_parallel_map, WorkerPanic};
+use crate::scheduler::{plan_chunks, try_parallel_map, Chunk, WorkerPanic};
 use crate::stream::{StreamFrameResult, StreamHandle, StreamState};
 use crate::supervise::RetryPolicy;
 use pcnn_core::pipeline::{Detector, TrainedDetector};
 use pcnn_core::{Error, StreamId};
-use pcnn_hog::block::assemble_descriptor;
-use pcnn_hog::cell::{cell_patch, CELL_SIZE};
 use pcnn_truenorth::SystemStats;
-use pcnn_vision::pyramid::scale_pyramid;
-use pcnn_vision::{
-    non_maximum_suppression, BoundingBox, Detection, GrayImage, WINDOW_HEIGHT, WINDOW_WIDTH,
-};
+use pcnn_vision::pyramid::{scale_pyramid, Pyramid};
+use pcnn_vision::{non_maximum_suppression, Detection, GrayImage};
 use serde::{Deserialize, Serialize};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Serving-runtime parameters.
@@ -254,169 +262,243 @@ impl<'d> DetectionServer<'d> {
             return Vec::new();
         }
         let (_, detector) = self.select_level(frames.len() as u64);
-        self.try_run_batch(detector, frames)
+        self.batch(frames.len(), || {
+            let mut caches = vec![CellCache::new(); frames.len()];
+            self.run(detector, None, frames, &mut caches)
+                .into_iter()
+                .map(|r| r.map(|(detections, _)| detections))
+                .collect()
+        })
     }
 
-    /// The staged parallel pipeline over one fixed detector, with
-    /// per-frame failure isolation.
-    fn try_run_batch(
+    /// Runs `body` over `frames` frames as one batch: inside a
+    /// `runtime.batch` span and the metrics' work window, counting the
+    /// frames it served and the batch latency.
+    fn batch<T>(
+        &self,
+        frames: usize,
+        body: impl FnOnce() -> Vec<Result<T, Error>>,
+    ) -> Vec<Result<T, Error>> {
+        let span = pcnn_trace::span(pcnn_trace::stages::RUNTIME_BATCH);
+        if span.is_recording() {
+            span.add(pcnn_trace::Counter::Frames, frames as u64);
+        }
+        let start = Instant::now();
+        self.metrics.begin_work();
+        let results = body();
+        self.metrics.add_frames(results.iter().filter(|r| r.is_ok()).count() as u64);
+        self.metrics.add_batch(start.elapsed());
+        self.metrics.end_work();
+        results
+    }
+
+    /// The staged pipeline of the [module docs](self) over `frames`, each
+    /// paired with its cell cache; the cells stage is
+    /// [`LevelCache::refresh`] per (frame, level).
+    ///
+    /// `Some(token)` means the caches persist (streams): each is keyed to
+    /// the token, reuse is probed and hashed, a served frame is recorded
+    /// in its cache, and a failed frame's cache is invalidated so partial
+    /// state never survives. `None` means fresh caches the caller drops
+    /// (batches): nothing is hashed, and every cell and window is
+    /// computed once.
+    ///
+    /// A worker panic fails only the frame it belongs to, with the first
+    /// failing stage named in the error. Reuse decisions depend only on
+    /// pixel content, so results and counts match at any worker count.
+    fn run(
         &self,
         detector: &TrainedDetector,
+        token: Option<u64>,
         frames: &[&GrayImage],
-    ) -> Vec<Result<Vec<Detection>, Error>> {
+        caches: &mut [CellCache],
+    ) -> Vec<Result<(Vec<Detection>, CacheStats), Error>> {
         let workers = self.config.workers;
-        let batch_span = pcnn_trace::span(pcnn_trace::stages::RUNTIME_BATCH);
-        if batch_span.is_recording() {
-            batch_span.add(pcnn_trace::Counter::Frames, frames.len() as u64);
-        }
-        let batch_start = Instant::now();
-        self.metrics.begin_work();
+        let reuse = token.is_some();
+        // Each frame's outcome once it is known; frames still `None`
+        // flow on through the stages.
+        type Outcome = Option<Result<Vec<Detection>, Error>>;
+        let mut outcome: Vec<Outcome> = frames.iter().map(|_| None).collect();
+        let mut stats = vec![CacheStats::default(); frames.len()];
+        let fail = |outcome: &mut [Outcome], frame: usize, stage: &str, p: WorkerPanic| {
+            self.metrics.add_panics(1);
+            if outcome[frame].is_none() {
+                let message = p.message;
+                outcome[frame] = Some(Err(Error::WorkerPanic { stage: stage.to_owned(), message }));
+            }
+        };
+        let pending = |outcome: &[Outcome]| -> Vec<usize> {
+            (0..frames.len()).filter(|&f| outcome[f].is_none()).collect()
+        };
 
-        // The first failure per frame; a failed frame is excluded from
-        // every subsequent stage.
-        let mut failed: Vec<Option<Error>> = (0..frames.len()).map(|_| None).collect();
-        let record_failure =
-            |failed: &mut Vec<Option<Error>>, frame: usize, stage: &str, p: WorkerPanic| {
-                self.metrics.add_panics(1);
-                if failed[frame].is_none() {
-                    failed[frame] =
-                        Some(Error::WorkerPanic { stage: stage.to_owned(), message: p.message });
+        let mut hashes = vec![0; frames.len()];
+        if let Some(token) = token {
+            let _span = pcnn_trace::span(pcnn_trace::stages::RUNTIME_CACHE_PROBE);
+            for (f, cache) in caches.iter_mut().enumerate() {
+                cache.ensure_token(token);
+                hashes[f] = frame_hash(frames[f]);
+                if let Some(detections) = cache.unchanged(hashes[f]) {
+                    stats[f].cells_reused = cache.total_cells();
+                    outcome[f] = Some(Ok(detections.clone()));
                 }
-            };
+            }
+        }
 
-        // Stage 1: scale pyramids, one item per frame.
         let stage_span = pcnn_trace::span(pcnn_trace::stages::RUNTIME_PYRAMID);
         let t = Instant::now();
-        let pyramid_config = self.engine.config().pyramid;
-        let mut pyramids = Vec::with_capacity(frames.len());
-        for (f, r) in
-            try_parallel_map(workers, frames.len(), |i| scale_pyramid(frames[i], pyramid_config))
-                .into_iter()
-                .enumerate()
-        {
+        let todo = pending(&outcome);
+        let config = self.engine.config().pyramid;
+        let built =
+            try_parallel_map(workers, todo.len(), |i| scale_pyramid(frames[todo[i]], config));
+        let mut pyramids: Vec<Option<Pyramid>> = frames.iter().map(|_| None).collect();
+        for (&f, r) in todo.iter().zip(built) {
             match r {
-                Ok(p) => pyramids.push(Some(p)),
-                Err(p) => {
-                    record_failure(&mut failed, f, "pyramid", p);
-                    pyramids.push(None);
-                }
+                Ok(pyramid) => pyramids[f] = Some(pyramid),
+                Err(p) => fail(&mut outcome, f, "pyramid", p),
             }
         }
         self.metrics.add_stage(Stage::Pyramid, t.elapsed());
         drop(stage_span);
 
-        // Stage 2: cell grids, one item per (frame, level) of the
-        // still-alive frames.
         let stage_span = pcnn_trace::span(pcnn_trace::stages::RUNTIME_CELLS);
         let t = Instant::now();
-        let level_of: Vec<(usize, usize)> = pyramids
-            .iter()
-            .enumerate()
-            .filter_map(|(f, p)| p.as_ref().map(|p| (f, p.levels.len())))
-            .flat_map(|(f, n)| (0..n).map(move |l| (f, l)))
-            .collect();
-        let mut grids = Vec::with_capacity(level_of.len());
-        for (i, r) in try_parallel_map(workers, level_of.len(), |i| {
-            let (f, l) = level_of[i];
-            let level = &pyramids[f].as_ref().expect("alive frame has a pyramid").levels[l];
-            let grid = Detector::cell_grid(&detector.extractor, &level.image);
-            (grid, level.scale)
-        })
-        .into_iter()
-        .enumerate()
-        {
-            match r {
-                Ok(g) => grids.push(Some(g)),
-                Err(p) => {
-                    record_failure(&mut failed, level_of[i].0, "cells", p);
-                    grids.push(None);
+        let mut level_of = Vec::new();
+        let mut slots = Vec::new();
+        for (f, cache) in caches.iter_mut().enumerate() {
+            if let Some(pyramid) = &pyramids[f] {
+                for (l, lc) in cache.levels_mut(pyramid.levels.len()).iter_mut().enumerate() {
+                    level_of.push((f, l));
+                    slots.push(Mutex::new(lc));
                 }
             }
+        }
+        let refreshed = try_parallel_map(workers, slots.len(), |i| {
+            let (f, l) = level_of[i];
+            let level = &pyramids[f].as_ref().expect("a pending frame has a pyramid").levels[l];
+            let mut lc = slots[i].lock().unwrap_or_else(PoisonError::into_inner);
+            lc.refresh(level, &detector.extractor, reuse)
+        });
+        // A panicked refresh fails its frame, whose cache is dropped or
+        // invalidated below, so a poisoned slot's level is never read.
+        let mut levels: Vec<&mut LevelCache> = slots
+            .into_iter()
+            .map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect();
+        let mut stale = Vec::with_capacity(levels.len());
+        for (&(f, _), r) in level_of.iter().zip(refreshed) {
+            match r {
+                Ok((level_stats, windows)) => {
+                    stats[f].cells_reused += level_stats.cells_reused;
+                    stats[f].cells_recomputed += level_stats.cells_recomputed;
+                    stale.push(windows);
+                }
+                Err(p) => {
+                    fail(&mut outcome, f, "cells", p);
+                    stale.push(Vec::new());
+                }
+            }
+        }
+        if reuse && stage_span.is_recording() {
+            let reused = stats.iter().map(|s| s.cells_reused).sum();
+            let recomputed = stats.iter().map(|s| s.cells_recomputed).sum();
+            stage_span.add(pcnn_trace::Counter::CellsReused, reused);
+            stage_span.add(pcnn_trace::Counter::CellsRecomputed, recomputed);
         }
         self.metrics.add_stage(Stage::Cells, t.elapsed());
         drop(stage_span);
 
-        // Stage 3: classify window-row chunks in (frame, level, row)
-        // order, over grids whose frame survived stage 2 in full.
         let stage_span = pcnn_trace::span(pcnn_trace::stages::RUNTIME_CLASSIFY);
         let t = Instant::now();
-        let ok_grids: Vec<_> = level_of
-            .iter()
-            .zip(&grids)
-            .filter(|(&(f, _), _)| failed[f].is_none())
-            .filter_map(|(&(f, _), g)| g.as_ref().map(|g| (f, g)))
-            .collect();
-        let grid_rows: Vec<(usize, usize)> =
-            ok_grids.iter().map(|&(f, (grid, _))| (f, Detector::window_rows(grid))).collect();
-        let chunks = plan_chunks(&grid_rows, self.config.chunk_rows);
-        let raw = try_parallel_map(workers, chunks.len(), |i| {
-            let chunk = &chunks[i];
+        let grids: Vec<usize> =
+            (0..levels.len()).filter(|&g| outcome[level_of[g].0].is_none()).collect();
+        let dims: Vec<(usize, usize)> =
+            levels.iter().map(|lc| Detector::window_grid(lc.cells_x, lc.cells_y)).collect();
+        let rows: Vec<(usize, usize)> = grids.iter().map(|&g| (level_of[g].0, dims[g].0)).collect();
+        let chunks = plan_chunks(&rows, self.config.chunk_rows);
+        // A chunk's level and its stale windows: the level's row-major
+        // stale list restricted to the chunk's rows is a contiguous run.
+        let chunk_windows = |chunk: &Chunk| {
+            let g = grids[chunk.grid];
+            let cols = dims[g].1;
+            let lo = stale[g].partition_point(|&w| w < chunk.rows.start * cols);
+            let hi = stale[g].partition_point(|&w| w < chunk.rows.end * cols);
+            (g, &stale[g][lo..hi])
+        };
+        let scored = try_parallel_map(workers, chunks.len(), |i| {
             if let Some(injector) = &self.injector {
-                injector.maybe_panic(chunk.frame);
+                injector.maybe_panic(chunks[i].frame);
             }
-            let (grid, scale) = ok_grids[chunk.grid].1;
-            self.engine.score_rows(detector, grid, *scale, chunk.rows.clone())
+            let (g, windows) = chunk_windows(&chunks[i]);
+            let (lc, cols): (&LevelCache, usize) = (levels[g], dims[g].1);
+            let cell = |cx: usize, cy: usize| lc.histograms[cy * lc.cells_x + cx].as_slice();
+            windows
+                .iter()
+                .map(|&w| {
+                    let descriptor =
+                        Detector::assemble_window(&detector.extractor, w % cols, w / cols, cell);
+                    detector.classifier.score(&descriptor)
+                })
+                .collect::<Vec<f32>>()
         });
-        let window_cells_x = WINDOW_WIDTH / CELL_SIZE;
-        let mut windows = 0u64;
-        for (chunk, r) in chunks.iter().zip(raw.iter()) {
+        let mut windows_scored = 0u64;
+        for (chunk, r) in chunks.iter().zip(scored) {
             match r {
-                Ok(_) => {
-                    let per_row = ok_grids[chunk.grid].1 .0[0].len() + 1 - window_cells_x;
-                    windows += (chunk.rows.len() * per_row) as u64;
+                Ok(scores) => {
+                    let (g, windows) = chunk_windows(chunk);
+                    windows_scored += windows.len() as u64;
+                    for (&w, score) in windows.iter().zip(scores) {
+                        levels[g].window_scores[w] = score;
+                    }
                 }
-                Err(p) => record_failure(&mut failed, chunk.frame, "classify", p.clone()),
+                Err(p) => fail(&mut outcome, chunk.frame, "classify", p),
             }
         }
-        self.metrics.add_windows(windows);
+        self.metrics.add_windows(windows_scored);
         self.metrics.add_stage(Stage::Classify, t.elapsed());
         if stage_span.is_recording() {
-            stage_span.add(pcnn_trace::Counter::Windows, windows);
+            stage_span.add(pcnn_trace::Counter::Windows, windows_scored);
         }
         drop(stage_span);
 
-        // Stage 4: merge chunk results in scan order and suppress, one
-        // item per still-alive frame. Chunks are (frame, level, row)
-        // ordered, so in-order concatenation per frame reproduces the
-        // serial raw-detection sequence exactly.
         let stage_span = pcnn_trace::span(pcnn_trace::stages::RUNTIME_NMS);
         let t = Instant::now();
-        let epsilon = self.engine.config().nms_epsilon;
-        let alive: Vec<usize> = (0..frames.len()).filter(|&f| failed[f].is_none()).collect();
-        let suppressed = try_parallel_map(workers, alive.len(), |a| {
-            let f = alive[a];
-            let merged: Vec<Detection> = chunks
+        let todo = pending(&outcome);
+        let caches_view: &[CellCache] = caches;
+        let suppressed = try_parallel_map(workers, todo.len(), |i| {
+            let raw: Vec<Detection> = caches_view[todo[i]]
+                .levels()
                 .iter()
-                .zip(&raw)
-                .filter(|(c, _)| c.frame == f)
-                .flat_map(|(_, dets)| {
-                    dets.as_ref().expect("alive frame has no failed chunks").iter().cloned()
+                .flat_map(|lc| {
+                    let cols = Detector::window_grid(lc.cells_x, lc.cells_y).1;
+                    self.engine.window_detections(lc.scale, cols, &lc.window_scores)
                 })
                 .collect();
-            non_maximum_suppression(merged, epsilon)
+            non_maximum_suppression(raw, self.engine.config().nms_epsilon)
         });
-        let mut detections: Vec<Option<Vec<Detection>>> = (0..frames.len()).map(|_| None).collect();
-        for (&f, r) in alive.iter().zip(suppressed) {
+        for (&f, r) in todo.iter().zip(suppressed) {
             match r {
-                Ok(dets) => detections[f] = Some(dets),
-                Err(p) => record_failure(&mut failed, f, "nms", p),
+                Ok(detections) => outcome[f] = Some(Ok(detections)),
+                Err(p) => fail(&mut outcome, f, "nms", p),
             }
         }
         self.metrics.add_stage(Stage::Nms, t.elapsed());
         drop(stage_span);
 
-        let results: Vec<Result<Vec<Detection>, Error>> = failed
+        if reuse {
+            for ((cache, result), &hash) in caches.iter_mut().zip(&outcome).zip(&hashes) {
+                match result {
+                    Some(Ok(detections)) => cache.finish_frame(hash, detections.clone()),
+                    _ => cache.invalidate(),
+                }
+            }
+        }
+        outcome
             .into_iter()
-            .zip(detections)
-            .map(|(err, dets)| match err {
-                Some(e) => Err(e),
-                None => Ok(dets.expect("alive frame produced detections")),
+            .zip(stats)
+            .map(|(result, stats)| {
+                result.expect("every frame is served or failed").map(|dets| (dets, stats))
             })
-            .collect();
-        self.metrics.add_frames(results.iter().filter(|r| r.is_ok()).count() as u64);
-        self.metrics.add_batch(batch_start.elapsed());
-        self.metrics.end_work();
-        results
+            .collect()
     }
 
     /// Detects over a single frame on the worker pool. Output is
@@ -486,6 +568,14 @@ impl<'d> DetectionServer<'d> {
     /// Returns per-frame detections in input order; `None` marks frames
     /// dropped by [`Backpressure::Reject`]. With
     /// [`Backpressure::Block`] every slot is `Some`.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first failed frame's error (such as
+    /// [`Error::WorkerPanic`]) as a panic, after closing the queue so a
+    /// feeder parked on a full queue exits instead of waiting forever.
+    /// Use [`detect_batch`](DetectionServer::detect_batch) when a
+    /// failed frame must not take the caller down.
     pub fn serve(&self, frames: &[GrayImage]) -> Vec<Option<Vec<Detection>>> {
         let queue: RequestQueue<usize> = RequestQueue::new(self.config.queue);
         let mut results: Vec<Option<Vec<Detection>>> = (0..frames.len()).map(|_| None).collect();
@@ -511,7 +601,13 @@ impl<'d> DetectionServer<'d> {
                 drop(assemble_span);
                 let dets = self.detect_batch(&imgs);
                 for (&i, d) in batch.iter().zip(dets) {
-                    results[i] = Some(d.unwrap_or_else(|e| panic!("{e}")));
+                    match d {
+                        Ok(d) => results[i] = Some(d),
+                        Err(e) => {
+                            queue.close();
+                            panic!("{e}");
+                        }
+                    }
                 }
             }
             feeder.join().expect("feeder thread panicked");
@@ -553,259 +649,40 @@ impl<'d> DetectionServer<'d> {
     /// owned state — the entry point for owners that manage stream
     /// state themselves (cluster shards hold one [`StreamState`] per
     /// routed stream).
+    ///
+    /// # Errors
+    ///
+    /// As [`detect_stream`](DetectionServer::detect_stream).
     pub fn detect_stream_state(
         &self,
         state: &mut StreamState,
         img: &GrayImage,
     ) -> Result<StreamFrameResult, Error> {
-        let (level_index, detector) = self.select_level(1);
-        let batch_span = pcnn_trace::span(pcnn_trace::stages::RUNTIME_BATCH);
-        if batch_span.is_recording() {
-            batch_span.add(pcnn_trace::Counter::Frames, 1);
-        }
-        let start = Instant::now();
-        self.metrics.begin_work();
-        let outcome = self.try_run_stream(detector, level_index as u64, &mut state.cache, img);
-        let (detections, stats) = match outcome {
-            Ok(v) => v,
-            Err(e) => {
-                self.metrics.end_work();
-                return Err(e);
-            }
-        };
-
-        let track_span = pcnn_trace::span(pcnn_trace::stages::RUNTIME_TRACK);
-        let tracks = state.tracker.update(&detections);
-        let active = tracks.len() as u64;
-        if track_span.is_recording() {
-            track_span.add(pcnn_trace::Counter::TracksActive, active);
-        }
-        drop(track_span);
-
-        self.metrics.add_cells_reused(stats.cells_reused);
-        self.metrics.add_cells_recomputed(stats.cells_recomputed);
-        self.metrics.add_tracks_active(active);
-        self.metrics.add_frames(1);
-        self.metrics.add_batch(start.elapsed());
-        self.metrics.end_work();
-        Ok(StreamFrameResult {
-            detections,
-            tracks,
-            cells_reused: stats.cells_reused,
-            cells_recomputed: stats.cells_recomputed,
-        })
-    }
-
-    /// The change-driven detection pipeline over one frame of a stream.
-    ///
-    /// Reuse decisions are pure functions of pixel content (per-cell
-    /// FNV hashes), so the reuse/recompute counters and the output are
-    /// identical for any worker count. On any worker panic the cache is
-    /// invalidated before the error is returned, so partial state never
-    /// survives.
-    fn try_run_stream(
-        &self,
-        detector: &TrainedDetector,
-        token: u64,
-        cache: &mut CellCache,
-        img: &GrayImage,
-    ) -> Result<(Vec<Detection>, CacheStats), Error> {
-        let workers = self.config.workers;
-        let window_cells_x = WINDOW_WIDTH / CELL_SIZE;
-        let window_cells_y = WINDOW_HEIGHT / CELL_SIZE;
-
-        // Probe: is this frame (or most of it) already cached?
-        let probe_span = pcnn_trace::span(pcnn_trace::stages::RUNTIME_CACHE_PROBE);
-        cache.ensure_token(token);
-        let fhash = frame_hash(img);
-        if let Some(dets) = cache.unchanged(fhash) {
-            // Unchanged frame: serve the last result without touching
-            // the pyramid. Every cached cell counts as reused.
-            let stats = CacheStats { cells_reused: cache.total_cells(), cells_recomputed: 0 };
-            if probe_span.is_recording() {
-                probe_span.add(pcnn_trace::Counter::CellsReused, stats.cells_reused);
-                probe_span.add(pcnn_trace::Counter::CellsRecomputed, 0);
-            }
-            return Ok((dets.clone(), stats));
-        }
-
-        // Pyramid (shared with the batch path's stage 1).
-        let t = Instant::now();
-        let pyramid = scale_pyramid(img, self.engine.config().pyramid);
-        self.metrics.add_stage(Stage::Pyramid, t.elapsed());
-
-        // Diff cells against the cache: hash every cell's padded patch
-        // and mark mismatches for recomputation.
-        let t = Instant::now();
-        let n_levels = pyramid.levels.len();
-        let mut recompute: Vec<(usize, usize)> = Vec::new();
-        let mut reused = 0u64;
-        {
-            let levels = cache.levels_mut(n_levels);
-            for (l, level) in pyramid.levels.iter().enumerate() {
-                let cells_x = level.image.width() / CELL_SIZE;
-                let cells_y = level.image.height() / CELL_SIZE;
-                let lc = &mut levels[l];
-                if !lc.matches(cells_x, cells_y, level.scale) {
-                    *lc = LevelCache {
-                        cells_x,
-                        cells_y,
-                        scale: level.scale,
-                        cell_hashes: vec![0; cells_x * cells_y],
-                        histograms: vec![Vec::new(); cells_x * cells_y],
-                        window_hashes: Vec::new(),
-                        window_scores: Vec::new(),
-                    };
+        let (level, detector) = self.select_level(1);
+        let mut results = self.batch(1, || {
+            let cache = std::slice::from_mut(&mut state.cache);
+            let result = self.run(detector, Some(level as u64), &[img], cache);
+            let result = result.into_iter().next().expect("one frame in, one result out");
+            vec![result.map(|(detections, stats)| {
+                let track_span = pcnn_trace::span(pcnn_trace::stages::RUNTIME_TRACK);
+                let tracks = state.tracker.update(&detections);
+                let active = tracks.len() as u64;
+                if track_span.is_recording() {
+                    track_span.add(pcnn_trace::Counter::TracksActive, active);
                 }
-                for cy in 0..cells_y {
-                    for cx in 0..cells_x {
-                        let idx = cy * cells_x + cx;
-                        let h = cell_patch_hash(&level.image, cx, cy);
-                        // An empty histogram marks a never-computed cell
-                        // (fresh level), which must recompute even if
-                        // its stored hash happens to collide.
-                        if lc.cell_hashes[idx] == h && !lc.histograms[idx].is_empty() {
-                            reused += 1;
-                        } else {
-                            lc.cell_hashes[idx] = h;
-                            recompute.push((l, idx));
-                        }
-                    }
+                drop(track_span);
+                self.metrics.add_cells_reused(stats.cells_reused);
+                self.metrics.add_cells_recomputed(stats.cells_recomputed);
+                self.metrics.add_tracks_active(active);
+                StreamFrameResult {
+                    detections,
+                    tracks,
+                    cells_reused: stats.cells_reused,
+                    cells_recomputed: stats.cells_recomputed,
                 }
-            }
-        }
-        let stats = CacheStats { cells_reused: reused, cells_recomputed: recompute.len() as u64 };
-        if probe_span.is_recording() {
-            probe_span.add(pcnn_trace::Counter::CellsReused, stats.cells_reused);
-            probe_span.add(pcnn_trace::Counter::CellsRecomputed, stats.cells_recomputed);
-        }
-        drop(probe_span);
-
-        // Recompute changed cells' histograms on the worker pool.
-        let stage_span = pcnn_trace::span(pcnn_trace::stages::RUNTIME_CELLS);
-        let histograms = {
-            let cache_view: &CellCache = cache;
-            try_parallel_map(workers, recompute.len(), |i| {
-                let (l, idx) = recompute[i];
-                let level = &pyramid.levels[l];
-                let cells_x = cache_view.levels()[l].cells_x;
-                let patch = cell_patch(&level.image, 0, 0, idx % cells_x, idx / cells_x);
-                detector.extractor.cell_histogram(&patch)
-            })
-        };
-        if let Some(p) = histograms.iter().find_map(|r| r.as_ref().err()) {
-            self.metrics.add_panics(1);
-            let message = p.message.clone();
-            cache.invalidate();
-            return Err(Error::WorkerPanic { stage: "stream_cells".to_owned(), message });
-        }
-        {
-            let levels = cache.levels_mut(n_levels);
-            for (&(l, idx), h) in recompute.iter().zip(histograms) {
-                levels[l].histograms[idx] = h.expect("errors returned above");
-            }
-        }
-        self.metrics.add_stage(Stage::Cells, t.elapsed());
-        drop(stage_span);
-
-        // Diff windows: a window's hash covers its contributing cells,
-        // so it changes exactly when one of them recomputed.
-        let stage_span = pcnn_trace::span(pcnn_trace::stages::RUNTIME_CLASSIFY);
-        let t = Instant::now();
-        let mut rescore: Vec<(usize, usize)> = Vec::new();
-        {
-            let levels = cache.levels_mut(n_levels);
-            for (l, lc) in levels.iter_mut().enumerate() {
-                let (rows, cols) = window_dims(lc, window_cells_x, window_cells_y);
-                let n = rows * cols;
-                let warm = lc.window_hashes.len() == n && lc.window_scores.len() == n;
-                if !warm {
-                    lc.window_hashes = vec![0; n];
-                    lc.window_scores = vec![0.0; n];
-                }
-                for r in 0..rows {
-                    for c in 0..cols {
-                        let w = r * cols + c;
-                        let h = lc.window_hash(r, c, window_cells_x, window_cells_y);
-                        if !warm || lc.window_hashes[w] != h {
-                            lc.window_hashes[w] = h;
-                            rescore.push((l, w));
-                        }
-                    }
-                }
-            }
-        }
-        let norm = detector.extractor.norm();
-        let scores = {
-            let cache_view: &CellCache = cache;
-            try_parallel_map(workers, rescore.len(), |i| {
-                let (l, w) = rescore[i];
-                let lc = &cache_view.levels()[l];
-                let (_, cols) = window_dims(lc, window_cells_x, window_cells_y);
-                let (cy0, cx0) = (w / cols, w % cols);
-                // Reproduces Detector::score_rows's window computation
-                // exactly: same sub-grid, descriptor and classifier.
-                let sub: Vec<Vec<Vec<f32>>> = (cy0..cy0 + window_cells_y)
-                    .map(|cy| {
-                        lc.histograms[cy * lc.cells_x + cx0..cy * lc.cells_x + cx0 + window_cells_x]
-                            .to_vec()
-                    })
-                    .collect();
-                let descriptor = assemble_descriptor(&sub, norm);
-                detector.classifier.score(&descriptor)
-            })
-        };
-        if let Some(p) = scores.iter().find_map(|r| r.as_ref().err()) {
-            self.metrics.add_panics(1);
-            let message = p.message.clone();
-            cache.invalidate();
-            return Err(Error::WorkerPanic { stage: "stream_classify".to_owned(), message });
-        }
-        {
-            let levels = cache.levels_mut(n_levels);
-            for (&(l, w), s) in rescore.iter().zip(scores) {
-                levels[l].window_scores[w] = s.expect("errors returned above");
-            }
-        }
-        self.metrics.add_windows(rescore.len() as u64);
-        if stage_span.is_recording() {
-            stage_span.add(pcnn_trace::Counter::Windows, rescore.len() as u64);
-        }
-        self.metrics.add_stage(Stage::Classify, t.elapsed());
-        drop(stage_span);
-
-        // Rebuild the raw detection sequence from cached scores in the
-        // serial scan order (level, row, column) and suppress — exactly
-        // what Detector::detect does with freshly computed scores.
-        let stage_span = pcnn_trace::span(pcnn_trace::stages::RUNTIME_NMS);
-        let t = Instant::now();
-        let floor = self.engine.config().score_floor;
-        let mut raw = Vec::new();
-        for lc in cache.levels() {
-            let (rows, cols) = window_dims(lc, window_cells_x, window_cells_y);
-            for cy0 in 0..rows {
-                for cx0 in 0..cols {
-                    let score = lc.window_scores[cy0 * cols + cx0];
-                    if score < floor {
-                        continue;
-                    }
-                    let bbox = BoundingBox::new(
-                        (cx0 * CELL_SIZE) as f32,
-                        (cy0 * CELL_SIZE) as f32,
-                        WINDOW_WIDTH as f32,
-                        WINDOW_HEIGHT as f32,
-                    )
-                    .unscale(lc.scale);
-                    raw.push(Detection { bbox, score });
-                }
-            }
-        }
-        let detections = non_maximum_suppression(raw, self.engine.config().nms_epsilon);
-        self.metrics.add_stage(Stage::Nms, t.elapsed());
-        drop(stage_span);
-
-        cache.finish_frame(fhash, detections.clone());
-        Ok((detections, stats))
+            })]
+        });
+        results.pop().expect("one frame in, one result out")
     }
 
     /// Snapshots the serving metrics. Pass the simulator counters when
@@ -824,16 +701,5 @@ impl<'d> DetectionServer<'d> {
             .collect();
         report.trace = pcnn_trace::profile_snapshot().map(crate::metrics::TraceSummary::from);
         report
-    }
-}
-
-/// Valid window start (rows, cols) in a cached level's cell grid —
-/// `(0, 0)` when the level is too small to hold one window, matching
-/// [`Detector::window_rows`].
-fn window_dims(lc: &LevelCache, window_cells_x: usize, window_cells_y: usize) -> (usize, usize) {
-    if lc.cells_y < window_cells_y || lc.cells_x < window_cells_x {
-        (0, 0)
-    } else {
-        (lc.cells_y - window_cells_y + 1, lc.cells_x - window_cells_x + 1)
     }
 }

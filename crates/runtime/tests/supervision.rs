@@ -4,11 +4,12 @@
 //! poisoned. Deadlines and bounded retry are pinned on top.
 
 use pcnn_core::pipeline::{Detector, TrainedDetector};
-use pcnn_core::{Error, Extractor, WindowClassifier};
+use pcnn_core::{Error, Extractor, StreamId, WindowClassifier};
 use pcnn_hog::BlockNorm;
-use pcnn_runtime::{DetectionServer, PanicInjector, RetryPolicy, RuntimeConfig};
+use pcnn_runtime::{Backpressure, DetectionServer, PanicInjector, RetryPolicy, RuntimeConfig};
 use pcnn_svm::{train, FeatureScaler, TrainConfig};
-use pcnn_vision::{SynthConfig, SynthDataset};
+use pcnn_vision::{SynthConfig, SynthDataset, TemporalConfig, VideoStream};
+use std::panic::AssertUnwindSafe;
 use std::time::Duration;
 
 /// Trains a small SVM detector on NApprox full-precision features.
@@ -150,4 +151,78 @@ fn exhausted_attempts_return_the_last_worker_panic() {
         other => panic!("expected WorkerPanic, got {other:?}"),
     }
     assert_eq!(server.report(None).retries, 1, "one retry between two attempts");
+}
+
+#[test]
+fn serve_reraises_a_failed_frame_instead_of_hanging() {
+    // One-slot queue, one-frame batches and more frames than the queue
+    // holds: the feeder is parked in a blocking push when frame 0 fails.
+    // The run gets its own thread so a hang fails after the timeout
+    // instead of wedging the suite.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let run = std::thread::spawn(move || {
+        let detector = small_detector();
+        let ds = SynthDataset::new(SynthConfig::default());
+        let frames: Vec<_> = (0..4).map(|i| ds.train_positive(i)).collect();
+        let config = RuntimeConfig::builder()
+            .workers(1)
+            .queue_capacity(1)
+            .batch_size(1)
+            .backpressure(Backpressure::Block)
+            .build()
+            .unwrap();
+        let server = DetectionServer::new(Detector::default(), &detector, config)
+            .unwrap()
+            .with_panic_injection(PanicInjector::new(0, 1));
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| server.serve(&frames)));
+        let message = outcome.map(|_| ()).map_err(|payload| {
+            payload.downcast::<String>().map(|m| *m).unwrap_or_else(|_| "non-string panic".into())
+        });
+        tx.send(message).ok();
+    });
+    match rx.recv_timeout(Duration::from_secs(60)) {
+        Ok(Err(message)) => assert!(message.contains("injected chaos panic"), "{message}"),
+        Ok(Ok(())) => panic!("serve returned normally although frame 0 failed"),
+        Err(_) => panic!("serve still running 60 s after frame 0 failed"),
+    }
+    run.join().expect("the serving thread caught the panic itself");
+}
+
+#[test]
+fn a_failed_stream_frame_keeps_the_tracks_and_the_next_frame_runs_cold() {
+    let detector = small_detector();
+    let clean =
+        DetectionServer::new(Detector::default(), &detector, config_with_workers(2)).unwrap();
+    let injected = DetectionServer::new(Detector::default(), &detector, config_with_workers(2))
+        .unwrap()
+        .with_panic_injection(PanicInjector::new(0, 1));
+    let video = VideoStream::new(TemporalConfig::panning_scene(5));
+    let frames: Vec<_> = (0..5).map(|t| video.render(t).image).collect();
+
+    let handle = clean.open_stream(StreamId::new(1));
+    for frame in &frames[..3] {
+        clean.detect_stream(&handle, frame).expect("clean stream frame");
+    }
+    let tracks = handle.lock().tracker.tracks().to_vec();
+
+    // A stream frame is frame 0 of its own one-frame batch, so the
+    // injector fails its first classify chunk.
+    match injected.detect_stream(&handle, &frames[3]) {
+        Err(Error::WorkerPanic { stage, message }) => {
+            assert_eq!(stage, "classify");
+            assert!(message.contains("injected chaos panic"), "{message}");
+        }
+        other => panic!("expected WorkerPanic for the injected frame, got {other:?}"),
+    }
+    assert_eq!(handle.lock().tracker.tracks(), tracks.as_slice(), "a failed frame moved tracks");
+
+    // The failed frame invalidated the cache: the next frame runs cold
+    // and still matches the serial reference bit for bit.
+    let next = clean.detect_stream(&handle, &frames[4]).expect("the stream recovers");
+    assert_eq!(next.cells_reused, 0, "the failed frame's partial cache survived");
+    let cold = Detector::default().detect(&detector, &frames[4]);
+    assert_eq!(next.detections, cold);
+    for (a, b) in next.detections.iter().zip(&cold) {
+        assert_eq!(a.score.to_bits(), b.score.to_bits());
+    }
 }

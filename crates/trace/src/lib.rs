@@ -98,14 +98,15 @@ pub mod stages {
     pub const RUNTIME_BATCH: &str = "runtime.batch";
     /// The pyramid stage of a batch.
     pub const RUNTIME_PYRAMID: &str = "runtime.pyramid";
-    /// The cell-extraction stage of a batch.
+    /// The cell-extraction stage of a batch (on a stream frame it also
+    /// hashes cells and carries the cells_reused/cells_recomputed split).
     pub const RUNTIME_CELLS: &str = "runtime.cells";
     /// The window-classification stage of a batch.
     pub const RUNTIME_CLASSIFY: &str = "runtime.classify";
     /// The non-maximum-suppression stage of a batch.
     pub const RUNTIME_NMS: &str = "runtime.nms";
-    /// Probing a stream's temporal cell cache for one frame (carries
-    /// the cells_reused/cells_recomputed split).
+    /// Probing a stream frame's whole-frame hash against its temporal
+    /// cell cache (an unchanged frame skips every later stage).
     pub const RUNTIME_CACHE_PROBE: &str = "runtime.cache_probe";
     /// One tracker update on a stream's detections.
     pub const RUNTIME_TRACK: &str = "runtime.track";
