@@ -102,8 +102,9 @@ fn main() {
     let (shards, workers) = (3u32, 2usize);
     let (streams, per_stream) = if smoke { (3u64, 4u64) } else { (4u64, 8u64) };
     let frames = interleaved(streams, per_stream);
-    // The stream path's latency histogram spreads wall time uniformly
-    // over served frames, so the budgets here bound mean service time.
+    // Every frame is offered at the start, so a frame's latency is its
+    // measured completion time: queueing behind its stream's earlier
+    // frames, failover and respawn included.
     let budget = SloBudget { p50_us: 1_000_000, p99_us: 2_000_000, shed_ppm: 0 };
 
     let mut results = Vec::new();
@@ -181,4 +182,12 @@ fn main() {
     std::fs::write(path, serde_json::to_string_pretty(&doc).expect("serialize"))
         .expect("write BENCH_chaos.json");
     println!("wrote {path}");
+
+    // Both runs use Block backpressure: a frame that goes unserved was
+    // lost, not shed by policy.
+    let lost: u64 = doc.results.iter().map(|r| r.offered - r.served).sum();
+    if lost > 0 {
+        eprintln!("bench: chaos lost {lost} frames under Block backpressure");
+        std::process::exit(1);
+    }
 }

@@ -1,5 +1,6 @@
-//! The cluster front-end: a router over N shards, a feeder/drainer
-//! serve loop with load shedding, and the rolling blue/green swap.
+//! The cluster front-end: a router over N shards, one supervised
+//! feeder/drainer serve loop with load shedding, and the rolling
+//! blue/green swap.
 
 use crate::chaos::{ActiveChaos, ChaosAction, ChaosPlan};
 use crate::report::{ClusterReport, ShardReport};
@@ -21,8 +22,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-/// How often a blocked push or a quiesce wait re-checks tier health, and
-/// the granularity at which a chaos stall re-checks condemnation.
+/// How often a blocked push, a wait for a scheduled frame or a quiesce
+/// wait re-checks tier health, and the granularity at which a chaos
+/// stall re-checks condemnation.
 const SUPERVISE_SLICE: Duration = Duration::from_millis(5);
 
 /// How long `heal` waits for a condemned drainer to acknowledge death
@@ -49,18 +51,24 @@ pub enum SwapPolicy {
 }
 
 /// Self-healing parameters: how the tier detects, retries and recovers
-/// from shard failures during [`Cluster::serve_streams`].
+/// from shard failures. They cover every serve call —
+/// [`Cluster::serve`], [`Cluster::serve_streams`] and the SLO harnesses
+/// alike — because all of them run the same supervised loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SupervisionConfig {
-    /// Per-frame retry policy at the serving edge: failed attempts are
-    /// retried up to `max_attempts` with seeded-jitter exponential
-    /// backoff, bounded by `deadline` when one is set. The default is
-    /// [`RetryPolicy::no_retry`] — a failed frame fails, exactly as the
-    /// tier behaved before supervision existed.
+    /// Per-frame retry policy at the serving edge: failed stream-frame
+    /// attempts are retried up to `max_attempts` with seeded-jitter
+    /// exponential backoff, bounded by `deadline` when one is set. Batch
+    /// frames (from [`Cluster::serve`]) get one attempt. The deadline
+    /// also bounds how long any frame waits for a full shard queue. The
+    /// default is [`RetryPolicy::no_retry`] — a failed frame fails,
+    /// exactly as the tier behaved before supervision existed.
     pub retry: RetryPolicy,
     /// How long a shard's serve loop may hold work in flight without a
     /// heartbeat before the [`Watchdog`] condemns it as stalled and the
-    /// supervisor fails its streams over.
+    /// supervisor fails its streams over. Stream frames beat once per
+    /// frame; batch frames beat once per popped batch, so for them this
+    /// bounds the service time of one batch.
     pub stall_after: Duration,
     /// Whether a dead or condemned shard is respawned warm (from the
     /// warm-start checkpoint directory when there is one, else from the
@@ -279,16 +287,18 @@ pub struct StreamFrame {
     pub image: GrayImage,
 }
 
-/// What finally happened to one submitted stream frame, after retries,
-/// failovers and re-dispatches — the per-frame return of
-/// [`Cluster::serve_streams_with`].
+/// What finally happened to one submitted frame, after retries,
+/// failovers and re-dispatches. `R` is what a served frame returns: a
+/// [`StreamFrameResult`] for a stream frame — the per-frame return of
+/// [`Cluster::serve_streams_with`] — or the detections of a batch frame.
 #[derive(Debug)]
-pub enum StreamOutcome {
+pub enum StreamOutcome<R = StreamFrameResult> {
     /// The frame was served (possibly after retries, possibly by a
     /// failover shard after its primary died mid-run).
     Served {
-        /// The frame's detections, tracks and cache accounting.
-        result: StreamFrameResult,
+        /// The frame's detections (for a stream frame, also its tracks
+        /// and cache accounting).
+        result: R,
         /// Serve attempts the frame took, first try included.
         attempts: u32,
         /// Whether the frame was re-dispatched after its original shard
@@ -310,9 +320,9 @@ pub enum StreamOutcome {
     },
 }
 
-impl StreamOutcome {
+impl<R> StreamOutcome<R> {
     /// The served frame result, when there is one.
-    pub fn served(&self) -> Option<&StreamFrameResult> {
+    pub fn served(&self) -> Option<&R> {
         match self {
             StreamOutcome::Served { result, .. } => Some(result),
             _ => None,
@@ -325,12 +335,13 @@ impl StreamOutcome {
 /// condemn and bury it. A respawned shard gets a fresh lane — stale
 /// state from the dead incarnation can never leak into the new one.
 #[derive(Debug)]
-struct Lane {
+pub(crate) struct Lane {
     queue: RequestQueue<usize>,
     heartbeat: Metrics,
     /// Set by the supervisor when the watchdog declares the lane
-    /// stalled; the drainer checks it before serving each frame (and
-    /// between chaos-stall sleep slices) and exits without serving.
+    /// stalled; the drainer checks it before serving each frame or
+    /// batch (and between chaos-stall sleep slices) and exits without
+    /// serving.
     condemned: AtomicBool,
     /// Set when the drainer is gone — a caught panic, or a condemned
     /// exit. The supervisor heals a dead lane: orphans re-dispatch,
@@ -361,29 +372,144 @@ impl Lane {
     }
 }
 
-/// Counters accumulated by one supervised serve call, folded into the
-/// cluster totals when it returns.
-#[derive(Debug, Default)]
-struct ServeCounters {
-    shed: AtomicU64,
-    retries: AtomicU64,
-    failovers: AtomicU64,
-    respawns: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    stalls: AtomicU64,
+/// What one serve call shares between its feeder and its drainers.
+pub(crate) struct Call<'a, R> {
+    cluster: &'a Cluster,
+    frames: &'a [StreamFrame],
+    /// Each frame's outcome, with its completion time since `start`.
+    results: Vec<OnceLock<(StreamOutcome<R>, Duration)>>,
+    redispatched: Vec<AtomicBool>,
+    chaos: Option<ActiveChaos>,
+    /// Salts the retry backoff jitter.
+    seed: u64,
+    start: Instant,
 }
 
-/// Everything a drainer borrows from the serve call, bundled so thread
-/// spawns stay readable.
-#[derive(Clone, Copy)]
-struct DrainShared<'a> {
-    frames: &'a [StreamFrame],
-    results: &'a [OnceLock<StreamOutcome>],
-    redispatched: &'a [AtomicBool],
-    chaos: Option<&'a ActiveChaos>,
-    policy: RetryPolicy,
-    seed: u64,
-    counters: &'a ServeCounters,
+impl<R> Call<'_, R> {
+    /// Records frame `i`'s outcome, stamped with its completion time.
+    /// The first outcome recorded for a frame wins.
+    fn resolve(&self, i: usize, outcome: StreamOutcome<R>) {
+        let _ = self.results[i].set((outcome, self.start.elapsed()));
+    }
+
+    fn resolved(&self, i: usize) -> bool {
+        self.results[i].get().is_some()
+    }
+}
+
+/// How a drainer serves the frames its lane pops, chosen by what a
+/// served frame returns. Runs on the drainer thread inside
+/// `catch_unwind`; panics (real or chaos-injected) kill only the lane.
+pub(crate) trait Drain: Sized + Send + Sync {
+    /// Serves `lane` for shard `shard` until its queue closes or the
+    /// supervisor condemns it.
+    fn drain(shard: &Shard, lane: &Lane, call: &Call<'_, Self>);
+}
+
+/// Batch frames (from [`Cluster::serve`] and
+/// [`run_slo`](crate::run_slo)) carry no tracker or cache: each popped
+/// batch is one [`Shard::run_batch`] call under one heartbeat, and a
+/// frame that fails resolves `Failed` after that one attempt.
+impl Drain for Vec<Detection> {
+    fn drain(shard: &Shard, lane: &Lane, call: &Call<'_, Self>) {
+        while let Some(batch) = lane.queue.pop_batch() {
+            *lane.lock_current() = batch.iter().copied().collect();
+            if lane.condemned.load(Ordering::Acquire) {
+                return;
+            }
+            lane.heartbeat.begin_work();
+            let images: Vec<&GrayImage> = batch.iter().map(|&i| &call.frames[i].image).collect();
+            for (&i, served) in batch.iter().zip(shard.run_batch(&images)) {
+                let redispatched = call.redispatched[i].load(Ordering::Relaxed);
+                call.resolve(
+                    i,
+                    match served {
+                        Ok(result) => StreamOutcome::Served { result, attempts: 1, redispatched },
+                        Err(error) => StreamOutcome::Failed { error, attempts: 1 },
+                    },
+                );
+            }
+            lane.lock_current().clear();
+            lane.heartbeat.end_work();
+        }
+    }
+}
+
+/// Stream frames are served one at a time through
+/// [`Shard::run_stream_frame`], each under its own heartbeat, with the
+/// call's chaos plan and the supervision retry policy applied.
+impl Drain for StreamFrameResult {
+    fn drain(shard: &Shard, lane: &Lane, call: &Call<'_, Self>) {
+        let policy = call.cluster.config.supervision.retry;
+        while let Some(batch) = lane.queue.pop_batch() {
+            *lane.lock_current() = batch.into();
+            loop {
+                if lane.condemned.load(Ordering::Acquire) {
+                    return;
+                }
+                let Some(&i) = lane.lock_current().front() else { break };
+                lane.heartbeat.begin_work();
+                let mut forced_fail = false;
+                match call.chaos.as_ref().and_then(|chaos| chaos.on_frame(shard.id())) {
+                    Some(ChaosAction::Kill) => {
+                        panic!("chaos: shard {} killed before frame {i}", shard.id())
+                    }
+                    Some(ChaosAction::Stall(how_long)) => {
+                        // Sleep in slices, re-checking condemnation: a
+                        // condemned stall wakes into a clean exit, leaving
+                        // the unserved frame for the supervisor to recover.
+                        let stalled_at = Instant::now();
+                        while stalled_at.elapsed() < how_long {
+                            std::thread::sleep(SUPERVISE_SLICE);
+                            if lane.condemned.load(Ordering::Acquire) {
+                                return;
+                            }
+                        }
+                    }
+                    Some(ChaosAction::Fail) => forced_fail = true,
+                    None => {}
+                }
+                let frame = &call.frames[i];
+                let frame_start = Instant::now();
+                let mut attempt = 0u32;
+                let outcome = loop {
+                    attempt += 1;
+                    let served = if forced_fail && attempt == 1 {
+                        Err(chaos_failure(shard.id()))
+                    } else {
+                        shard.run_stream_frame(frame.stream, &frame.image)
+                    };
+                    match served {
+                        Ok(result) => {
+                            break StreamOutcome::Served {
+                                result,
+                                attempts: attempt,
+                                redispatched: call.redispatched[i].load(Ordering::Relaxed),
+                            }
+                        }
+                        Err(error) => {
+                            if attempt >= policy.max_attempts.max(1) {
+                                break StreamOutcome::Failed { error, attempts: attempt };
+                            }
+                            let backoff = policy.backoff_jittered(attempt, call.seed ^ i as u64);
+                            if policy.deadline.is_some_and(|d| frame_start.elapsed() + backoff >= d)
+                            {
+                                call.cluster.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+                                break StreamOutcome::DeadlineExceeded;
+                            }
+                            call.cluster.retries.fetch_add(1, Ordering::Relaxed);
+                            let span = pcnn_trace::span(pcnn_trace::stages::CLUSTER_RETRY);
+                            std::thread::sleep(backoff);
+                            drop(span);
+                        }
+                    }
+                };
+                call.resolve(i, outcome);
+                lane.lock_current().pop_front();
+                lane.heartbeat.end_work();
+            }
+        }
+    }
 }
 
 /// Installs (once) a panic hook that swallows the default backtrace
@@ -415,86 +541,6 @@ fn chaos_failure(shard: u32) -> Error {
     }
 }
 
-/// One shard's supervised serve loop. Runs on the drainer thread inside
-/// `catch_unwind`; panics (real or chaos-injected) kill only this lane.
-fn drain_lane(shard: &Shard, lane: &Lane, shared: DrainShared<'_>) {
-    while let Some(batch) = lane.queue.pop_batch() {
-        *lane.lock_current() = batch.into();
-        loop {
-            if lane.condemned.load(Ordering::Acquire) {
-                lane.dead.store(true, Ordering::Release);
-                return;
-            }
-            let Some(&i) = lane.lock_current().front() else { break };
-            lane.heartbeat.begin_work();
-            let mut forced_fail = false;
-            match shared.chaos.and_then(|chaos| chaos.on_frame(shard.id())) {
-                Some(ChaosAction::Kill) => {
-                    panic!("chaos: shard {} killed before frame {i}", shard.id())
-                }
-                Some(ChaosAction::Stall(how_long)) => {
-                    // Sleep in slices, re-checking condemnation: a
-                    // condemned stall wakes into a clean exit, leaving
-                    // the unserved frame for the supervisor to recover.
-                    let stalled_at = Instant::now();
-                    while stalled_at.elapsed() < how_long {
-                        std::thread::sleep(SUPERVISE_SLICE);
-                        if lane.condemned.load(Ordering::Acquire) {
-                            lane.heartbeat.end_work();
-                            lane.dead.store(true, Ordering::Release);
-                            return;
-                        }
-                    }
-                }
-                Some(ChaosAction::Fail) => forced_fail = true,
-                None => {}
-            }
-            let frame = &shared.frames[i];
-            let frame_start = Instant::now();
-            let mut attempt = 0u32;
-            let outcome = loop {
-                attempt += 1;
-                let served = if forced_fail && attempt == 1 {
-                    Err(chaos_failure(shard.id()))
-                } else {
-                    shard.run_stream_frame(frame.stream, &frame.image)
-                };
-                match served {
-                    Ok(result) => {
-                        break StreamOutcome::Served {
-                            result,
-                            attempts: attempt,
-                            redispatched: shared.redispatched[i].load(Ordering::Relaxed),
-                        }
-                    }
-                    Err(error) => {
-                        if attempt >= shared.policy.max_attempts.max(1) {
-                            break StreamOutcome::Failed { error, attempts: attempt };
-                        }
-                        let backoff =
-                            shared.policy.backoff_jittered(attempt, shared.seed ^ i as u64);
-                        if shared
-                            .policy
-                            .deadline
-                            .is_some_and(|d| frame_start.elapsed() + backoff >= d)
-                        {
-                            shared.counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                            break StreamOutcome::DeadlineExceeded;
-                        }
-                        shared.counters.retries.fetch_add(1, Ordering::Relaxed);
-                        let span = pcnn_trace::span(pcnn_trace::stages::CLUSTER_RETRY);
-                        std::thread::sleep(backoff);
-                        drop(span);
-                    }
-                }
-            };
-            let _ = shared.results[i].set(outcome);
-            lane.lock_current().pop_front();
-            lane.heartbeat.end_work();
-        }
-    }
-}
-
 /// A sharded, replicated serving tier over the detection runtime.
 ///
 /// Frames are routed by stream id to one of `shards` replicas, each an
@@ -521,7 +567,6 @@ pub struct Cluster {
     failovers: AtomicU64,
     respawns: AtomicU64,
     retries: AtomicU64,
-    hedges: AtomicU64,
     deadline_exceeded: AtomicU64,
     stalls: AtomicU64,
 }
@@ -566,7 +611,6 @@ impl Cluster {
             failovers: AtomicU64::new(0),
             respawns: AtomicU64::new(0),
             retries: AtomicU64::new(0),
-            hedges: AtomicU64::new(0),
             deadline_exceeded: AtomicU64::new(0),
             stalls: AtomicU64::new(0),
         })
@@ -797,66 +841,16 @@ impl Cluster {
         frames: &[StreamFrame],
         plan: Option<&ChaosPlan>,
     ) -> Vec<StreamOutcome> {
-        let span = pcnn_trace::span(pcnn_trace::stages::CLUSTER_SERVE);
-        if span.is_recording() {
-            span.add(pcnn_trace::Counter::Frames, frames.len() as u64);
-        }
-        if plan.is_some() {
-            quiet_chaos_panics();
-        }
-        let chaos = plan.map(|p| ActiveChaos::new(p, self.config.shards));
-        let counters = ServeCounters::default();
-        let results: Vec<OnceLock<StreamOutcome>> =
-            (0..frames.len()).map(|_| OnceLock::new()).collect();
-        let redispatched: Vec<AtomicBool> =
-            (0..frames.len()).map(|_| AtomicBool::new(false)).collect();
-        std::thread::scope(|scope| {
-            let mut run = ServeLoop {
-                cluster: self,
-                frames,
-                results: &results,
-                redispatched: &redispatched,
-                chaos: chaos.as_ref(),
-                counters: &counters,
-                lanes: (0..self.shards.len())
-                    .map(|_| Arc::new(Lane::new(self.config.runtime.queue)))
-                    .collect(),
-                down: vec![false; self.shards.len()],
-                tier_down: false,
-                pending: VecDeque::new(),
-                last_route: HashMap::new(),
-                last_pushed: HashMap::new(),
-                watchdog: Watchdog::new(self.config.supervision.stall_after),
-                seed: plan.map_or(self.config.router_seed, |p| p.seed),
-            };
-            for k in 0..run.lanes.len() {
-                run.spawn_drainer(scope, k, Arc::clone(&run.lanes[k]));
-            }
-            for i in 0..frames.len() {
-                run.flush_pending(scope);
-                self.frames_routed.fetch_add(1, Ordering::Relaxed);
-                run.dispatch(scope, i);
-            }
-            run.finish(scope);
-        });
-        self.frames_shed.fetch_add(counters.shed.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.retries.fetch_add(counters.retries.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.failovers.fetch_add(counters.failovers.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.respawns.fetch_add(counters.respawns.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.deadline_exceeded
-            .fetch_add(counters.deadline_exceeded.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.stalls.fetch_add(counters.stalls.load(Ordering::Relaxed), Ordering::Relaxed);
-        drop(span);
-        results
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("finish() resolves every frame"))
-            .collect()
+        self.serve_loop(frames, plan, None).into_iter().map(|(outcome, _)| outcome).collect()
     }
 
-    /// Serves a stream of frames through the sharded tier: a feeder
-    /// thread routes every frame to its shard's queue in input order
-    /// while one drainer per shard executes batches on that shard's
-    /// worker pool.
+    /// Serves a batch of frames through the sharded tier: the feeder
+    /// routes every frame to its shard's queue in input order while one
+    /// drainer per shard serves each popped batch on that shard's
+    /// worker pool. The loop is supervised exactly like
+    /// [`serve_streams`](Cluster::serve_streams): a dead or stalled
+    /// shard's unserved frames re-dispatch to the survivors while the
+    /// shard respawns.
     ///
     /// Returns per-frame detections in input order; `None` marks frames
     /// shed by a full shard queue under
@@ -866,132 +860,92 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Re-raises per-frame worker panics, like
-    /// [`DetectionServer::detect_batch`](pcnn_runtime::DetectionServer::detect_batch).
+    /// Re-raises the first failed frame's error (such as
+    /// [`Error::WorkerPanic`]) as a panic, like
+    /// [`DetectionServer::serve`](pcnn_runtime::DetectionServer::serve),
+    /// once every frame has an outcome and the shard lanes are closed.
     pub fn serve(&self, frames: &[StreamFrame]) -> Vec<Option<Vec<Detection>>> {
-        self.serve_paced(frames, None, None).0
+        let mut failure = None;
+        let detections = self
+            .serve_loop(frames, None, None)
+            .into_iter()
+            .map(|(outcome, _)| match outcome {
+                StreamOutcome::Served { result, .. } => Some(result),
+                StreamOutcome::Shed | StreamOutcome::DeadlineExceeded => None,
+                StreamOutcome::Failed { error, .. } => {
+                    failure = failure.take().or(Some(error));
+                    None
+                }
+            })
+            .collect();
+        if let Some(error) = failure {
+            panic!("{error}");
+        }
+        detections
     }
 
-    /// [`serve`](Cluster::serve) with optional open-loop pacing and
-    /// per-frame latency accounting, shared with the load harness.
-    ///
-    /// `at_us[i]` (when given) is frame `i`'s scheduled submission time
-    /// relative to the serve start; the feeder sleeps until then and
-    /// submits regardless of downstream progress (open loop).
-    /// `latency` (when given) records each served frame's
-    /// schedule-to-completion time in microseconds, so queueing delay —
-    /// including delay the feeder never observes — lands in the
-    /// histogram.
-    ///
-    /// When the supervision retry policy carries a deadline, admission
-    /// is deadline-aware: a frame blocked past half its deadline is
-    /// *hedged* — re-dispatched to its stream's rendezvous failover
-    /// shard for the remaining budget — and only counted
-    /// deadline-exceeded when both shards stay full.
-    pub(crate) fn serve_paced(
+    /// The one serve loop behind every entry point: routes `frames` to
+    /// per-shard lanes in input order under supervision, and returns each
+    /// frame's outcome with its completion time since the call started.
+    /// `R` picks the drainer body — whole batches for batch frames, one
+    /// frame at a time for stream frames. `due_us[i]` (when given) is
+    /// frame `i`'s scheduled arrival relative to the start: the feeder
+    /// holds the frame until then and submits it whatever the tier's
+    /// progress (open loop).
+    pub(crate) fn serve_loop<R: Drain>(
         &self,
         frames: &[StreamFrame],
-        at_us: Option<&[u64]>,
-        latency: Option<&pcnn_runtime::Histogram>,
-    ) -> (Vec<Option<Vec<Detection>>>, EdgeStats) {
+        plan: Option<&ChaosPlan>,
+        due_us: Option<&[u64]>,
+    ) -> Vec<(StreamOutcome<R>, Duration)> {
         let span = pcnn_trace::span(pcnn_trace::stages::CLUSTER_SERVE);
         if span.is_recording() {
             span.add(pcnn_trace::Counter::Frames, frames.len() as u64);
         }
-        let queues: Vec<RequestQueue<usize>> =
-            self.shards.iter().map(|_| RequestQueue::new(self.config.runtime.queue)).collect();
-        let start = Instant::now();
-        let mut results: Vec<Option<Vec<Detection>>> = (0..frames.len()).map(|_| None).collect();
-        let mut stats = EdgeStats::default();
+        if plan.is_some() {
+            quiet_chaos_panics();
+        }
+        let call = Call {
+            cluster: self,
+            frames,
+            results: (0..frames.len()).map(|_| OnceLock::new()).collect(),
+            redispatched: (0..frames.len()).map(|_| AtomicBool::new(false)).collect(),
+            chaos: plan.map(|p| ActiveChaos::new(p, self.config.shards)),
+            seed: plan.map_or(self.config.router_seed, |p| p.seed),
+            start: Instant::now(),
+        };
         std::thread::scope(|scope| {
-            let drainers: Vec<_> = self
-                .shards
-                .iter()
-                .zip(&queues)
-                .map(|(shard, queue)| {
-                    scope.spawn(move || {
-                        let mut served: Vec<(usize, Vec<Detection>)> = Vec::new();
-                        while let Some(batch) = queue.pop_batch() {
-                            let imgs: Vec<&GrayImage> =
-                                batch.iter().map(|&i| &frames[i].image).collect();
-                            let dets = shard.run_batch(&imgs);
-                            let done_us = start.elapsed().as_micros() as u64;
-                            for (&i, det) in batch.iter().zip(dets) {
-                                let det = det.unwrap_or_else(|e| panic!("{e}"));
-                                if let (Some(at), Some(hist)) = (at_us, latency) {
-                                    hist.record(done_us.saturating_sub(at[i]));
-                                }
-                                served.push((i, det));
-                            }
-                        }
-                        served
-                    })
-                })
-                .collect();
-            // The feeder runs on the calling thread: route each frame in
-            // input order, pacing against the schedule when one is given.
-            let deadline = self.config.supervision.retry.deadline;
-            for (i, frame) in frames.iter().enumerate() {
-                if let Some(at) = at_us {
-                    let due = Duration::from_micros(at[i]);
-                    let now = start.elapsed();
-                    if due > now {
-                        std::thread::sleep(due - now);
-                    }
+            let mut run = ServeLoop {
+                scope,
+                call: &call,
+                lanes: (0..self.shards.len())
+                    .map(|_| Arc::new(Lane::new(self.config.runtime.queue)))
+                    .collect(),
+                down: vec![false; self.shards.len()],
+                tier_down: false,
+                pending: VecDeque::new(),
+                last_route: HashMap::new(),
+                last_pushed: HashMap::new(),
+                watchdog: Watchdog::new(self.config.supervision.stall_after),
+            };
+            for k in 0..run.lanes.len() {
+                run.spawn_drainer(k, Arc::clone(&run.lanes[k]));
+            }
+            for i in 0..frames.len() {
+                if let Some(due_us) = due_us {
+                    run.wait_until(Duration::from_micros(due_us[i]));
                 }
-                let shard = self.route(frame.stream);
+                run.flush_pending();
                 self.frames_routed.fetch_add(1, Ordering::Relaxed);
-                let pushed = match deadline {
-                    None => queues[shard as usize].push(i),
-                    Some(budget) => {
-                        // Half the budget on the primary; a blocked
-                        // frame hedges to the failover shard for the
-                        // rest rather than riding out the whole wait.
-                        let half = budget / 2;
-                        match queues[shard as usize].push_timeout(i, half) {
-                            Err(PushError::Timeout) => {
-                                stats.hedges += 1;
-                                let hedge_span =
-                                    pcnn_trace::span(pcnn_trace::stages::CLUSTER_RETRY);
-                                let target = self
-                                    .lock_router()
-                                    .failover(frame.stream.raw())
-                                    .unwrap_or(shard);
-                                let result = queues[target as usize]
-                                    .push_timeout(i, budget.saturating_sub(half));
-                                drop(hedge_span);
-                                result
-                            }
-                            other => other,
-                        }
-                    }
-                };
-                match pushed {
-                    Ok(_) => {}
-                    Err(PushError::Full) => stats.shed += 1,
-                    Err(PushError::Timeout) => stats.deadline_exceeded += 1,
-                    Err(PushError::Closed) => unreachable!("cluster closes queues after feeding"),
-                }
+                run.dispatch(i);
             }
-            for queue in &queues {
-                queue.close();
-            }
-            self.frames_shed.fetch_add(stats.shed, Ordering::Relaxed);
-            self.hedges.fetch_add(stats.hedges, Ordering::Relaxed);
-            self.deadline_exceeded.fetch_add(stats.deadline_exceeded, Ordering::Relaxed);
-            for drainer in drainers {
-                match drainer.join() {
-                    Ok(served) => {
-                        for (i, det) in served {
-                            results[i] = Some(det);
-                        }
-                    }
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
+            run.finish();
         });
         drop(span);
-        (results, stats)
+        call.results
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("finish() resolves every frame"))
+            .collect()
     }
 
     /// Snapshots the whole tier: every shard's accumulated
@@ -1026,26 +980,11 @@ impl Cluster {
             failovers: self.failovers.load(Ordering::Relaxed),
             respawns: self.respawns.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
-            hedges: self.hedges.load(Ordering::Relaxed),
             deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
             stalls: self.stalls.load(Ordering::Relaxed),
             trace: pcnn_trace::profile_snapshot().map(pcnn_runtime::TraceSummary::from),
         }
     }
-}
-
-/// Edge-of-tier accounting for one batch serve call: what never made it
-/// to a shard, and what only made it by hedging.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct EdgeStats {
-    /// Frames rejected outright by a full queue.
-    pub shed: u64,
-    /// Frames whose admission deadline expired (primary and hedge both
-    /// stayed full).
-    pub deadline_exceeded: u64,
-    /// Frames re-dispatched to their failover shard when the primary
-    /// blocked past half the deadline.
-    pub hedges: u64,
 }
 
 /// How one push attempt at the serving edge resolved.
@@ -1061,16 +1000,13 @@ enum PushOutcome {
     Rerouted,
 }
 
-/// The feeder-as-supervisor state for one supervised serve call. The
-/// feeder thread owns it exclusively; drainers see only the shared
-/// slices ([`DrainShared`]) and their own [`Lane`].
-struct ServeLoop<'a> {
-    cluster: &'a Cluster,
-    frames: &'a [StreamFrame],
-    results: &'a [OnceLock<StreamOutcome>],
-    redispatched: &'a [AtomicBool],
-    chaos: Option<&'a ActiveChaos>,
-    counters: &'a ServeCounters,
+/// The feeder-as-supervisor state for one serve call. The feeder thread
+/// owns it exclusively; drainers see only the shared [`Call`] and their
+/// own [`Lane`].
+struct ServeLoop<'s, 'e, R> {
+    /// The call's thread scope, where drainers (and respawned ones) run.
+    scope: &'s std::thread::Scope<'s, 'e>,
+    call: &'e Call<'e, R>,
     /// One lane per shard, replaced wholesale on respawn.
     lanes: Vec<Arc<Lane>>,
     /// Shards that died and were not respawned; they stay drained.
@@ -1087,34 +1023,18 @@ struct ServeLoop<'a> {
     /// before a migration.
     last_pushed: HashMap<u64, usize>,
     watchdog: Watchdog,
-    seed: u64,
 }
 
-impl<'a> ServeLoop<'a> {
+impl<R: Drain> ServeLoop<'_, '_, R> {
     /// Spawns `lane`'s drainer for shard `k` under `catch_unwind`: a
     /// panic (chaos kill, or a real bug) marks the lane dead instead of
     /// tearing down the serve call.
-    fn spawn_drainer<'s, 'e>(
-        &self,
-        scope: &'s std::thread::Scope<'s, 'e>,
-        k: usize,
-        lane: Arc<Lane>,
-    ) where
-        'a: 'e,
-    {
-        let shard = &self.cluster.shards[k];
-        let shared = DrainShared {
-            frames: self.frames,
-            results: self.results,
-            redispatched: self.redispatched,
-            chaos: self.chaos,
-            policy: self.cluster.config.supervision.retry,
-            seed: self.seed,
-            counters: self.counters,
-        };
-        scope.spawn(move || {
+    fn spawn_drainer(&self, k: usize, lane: Arc<Lane>) {
+        let shard = &self.call.cluster.shards[k];
+        let call = self.call;
+        self.scope.spawn(move || {
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                drain_lane(shard, &lane, shared);
+                R::drain(shard, &lane, call);
             }));
             // Dead on EVERY exit path — panic or clean return — so the
             // supervisor's pre-harvest wait in `heal` always terminates.
@@ -1124,23 +1044,20 @@ impl<'a> ServeLoop<'a> {
 
     /// One supervision sweep: heal every dead lane, and condemn (then
     /// heal) every lane whose heartbeat the watchdog flags as stalled.
-    fn supervise<'s, 'e>(&mut self, scope: &'s std::thread::Scope<'s, 'e>)
-    where
-        'a: 'e,
-    {
+    fn supervise(&mut self) {
         for k in 0..self.lanes.len() {
             if self.down[k] {
                 continue;
             }
             let lane = Arc::clone(&self.lanes[k]);
             if lane.dead.load(Ordering::Acquire) {
-                self.heal(scope, k);
+                self.heal(k);
             } else if !lane.condemned.load(Ordering::Acquire)
                 && matches!(self.watchdog.check(&lane.heartbeat), WatchdogStatus::Stalled { .. })
             {
-                self.counters.stalls.fetch_add(1, Ordering::Relaxed);
+                self.call.cluster.stalls.fetch_add(1, Ordering::Relaxed);
                 lane.condemned.store(true, Ordering::Release);
-                self.heal(scope, k);
+                self.heal(k);
             }
         }
     }
@@ -1151,11 +1068,9 @@ impl<'a> ServeLoop<'a> {
     /// drain the shard from the rotation, migrate its stream trackers
     /// to the survivors, respawn it warm, and restore it. Orphans go to
     /// the front of the pending deque for re-dispatch.
-    fn heal<'s, 'e>(&mut self, scope: &'s std::thread::Scope<'s, 'e>, k: usize)
-    where
-        'a: 'e,
-    {
+    fn heal(&mut self, k: usize) {
         let span = pcnn_trace::span(pcnn_trace::stages::CLUSTER_FAILOVER);
+        let cluster = self.call.cluster;
         let lane = Arc::clone(&self.lanes[k]);
         lane.condemned.store(true, Ordering::Release);
         lane.queue.close();
@@ -1177,34 +1092,34 @@ impl<'a> ServeLoop<'a> {
         while let Some(batch) = lane.queue.pop_batch() {
             orphans.extend(batch);
         }
-        orphans.retain(|&i| self.results[i].get().is_none());
+        orphans.retain(|&i| !self.call.resolved(i));
         if span.is_recording() {
             span.add(pcnn_trace::Counter::Frames, orphans.len() as u64);
         }
-        let shard = &self.cluster.shards[k];
-        let drained = self.cluster.lock_router().drain(k as u32).is_ok();
+        let shard = &cluster.shards[k];
+        let drained = cluster.lock_router().drain(k as u32).is_ok();
         if drained {
             let snapshots = shard.take_stream_snapshots();
-            let router = self.cluster.lock_router();
+            let router = cluster.lock_router();
             for snapshot in snapshots {
                 let stream = snapshot.id.raw();
                 let target = router.route(stream);
-                self.cluster.shards[target as usize].install_stream_snapshot(snapshot);
+                cluster.shards[target as usize].install_stream_snapshot(snapshot);
                 self.last_route.insert(stream, target);
-                self.counters.failovers.fetch_add(1, Ordering::Relaxed);
+                cluster.failovers.fetch_add(1, Ordering::Relaxed);
             }
         }
         let mut respawned = false;
-        if self.cluster.config.supervision.respawn {
-            if let Ok(detector) = self.cluster.respawn_detector(self.chaos) {
+        if cluster.config.supervision.respawn {
+            if let Ok(detector) = cluster.respawn_detector(self.call.chaos.as_ref()) {
                 let respawn_span = pcnn_trace::span(pcnn_trace::stages::CLUSTER_RESPAWN);
                 shard.respawn(detector);
-                self.counters.respawns.fetch_add(1, Ordering::Relaxed);
-                let fresh = Arc::new(Lane::new(self.cluster.config.runtime.queue));
+                cluster.respawns.fetch_add(1, Ordering::Relaxed);
+                let fresh = Arc::new(Lane::new(cluster.config.runtime.queue));
                 self.lanes[k] = Arc::clone(&fresh);
-                self.spawn_drainer(scope, k, fresh);
+                self.spawn_drainer(k, fresh);
                 if drained {
-                    let _ = self.cluster.lock_router().restore(k as u32);
+                    let _ = cluster.lock_router().restore(k as u32);
                 }
                 respawned = true;
                 drop(respawn_span);
@@ -1226,16 +1141,23 @@ impl<'a> ServeLoop<'a> {
     /// stream keeps its frame order: orphans of one stream all come
     /// from the same dead lane, in queue order, ahead of any input
     /// frame not yet dispatched.
-    fn flush_pending<'s, 'e>(&mut self, scope: &'s std::thread::Scope<'s, 'e>)
-    where
-        'a: 'e,
-    {
+    fn flush_pending(&mut self) {
         while let Some(i) = self.pending.pop_front() {
-            if self.results[i].get().is_some() {
+            if self.call.resolved(i) {
                 continue;
             }
-            self.redispatched[i].store(true, Ordering::Relaxed);
-            self.dispatch(scope, i);
+            self.call.redispatched[i].store(true, Ordering::Relaxed);
+            self.dispatch(i);
+        }
+    }
+
+    /// Holds the feeder until `due` after the call started, supervising
+    /// the tier and re-dispatching orphans every [`SUPERVISE_SLICE`].
+    fn wait_until(&mut self, due: Duration) {
+        while let Some(early) = due.checked_sub(self.call.start.elapsed()) {
+            std::thread::sleep(early.min(SUPERVISE_SLICE));
+            self.supervise();
+            self.flush_pending();
         }
     }
 
@@ -1243,28 +1165,29 @@ impl<'a> ServeLoop<'a> {
     /// changes migrate the stream's tracker (after quiescing its last
     /// in-flight frame), dead targets trigger failover and re-route,
     /// full queues shed or run down the admission deadline.
-    fn dispatch<'s, 'e>(&mut self, scope: &'s std::thread::Scope<'s, 'e>, i: usize)
-    where
-        'a: 'e,
-    {
-        let stream = self.frames[i].stream;
+    fn dispatch(&mut self, i: usize) {
+        let cluster = self.call.cluster;
+        let stream = self.call.frames[i].stream;
         loop {
             if self.tier_down {
-                let _ = self.results[i].set(StreamOutcome::Failed {
-                    error: Error::WorkerPanic {
-                        stage: "cluster.supervise".to_owned(),
-                        message: "no shard in rotation (last shard died, respawn unavailable)"
-                            .to_owned(),
+                self.call.resolve(
+                    i,
+                    StreamOutcome::Failed {
+                        error: Error::WorkerPanic {
+                            stage: "cluster.supervise".to_owned(),
+                            message: "no shard in rotation (last shard died, respawn unavailable)"
+                                .to_owned(),
+                        },
+                        attempts: 0,
                     },
-                    attempts: 0,
-                });
+                );
                 return;
             }
-            self.supervise(scope);
+            self.supervise();
             if self.tier_down {
                 continue;
             }
-            let target = self.cluster.lock_router().route(stream.raw());
+            let target = cluster.lock_router().route(stream.raw());
             if self.down[target as usize] {
                 continue;
             }
@@ -1275,12 +1198,12 @@ impl<'a> ServeLoop<'a> {
                     // then carry the tracker over. The cache stays
                     // behind — cold serves are bit-identical, warmth
                     // rebuilds on the next frame.
-                    self.quiesce(scope, stream, i);
+                    self.quiesce(stream, i);
                     if let Some(snapshot) =
-                        self.cluster.shards[previous as usize].take_stream_snapshot(stream)
+                        cluster.shards[previous as usize].take_stream_snapshot(stream)
                     {
-                        let now = self.cluster.lock_router().route(stream.raw());
-                        self.cluster.shards[now as usize].install_stream_snapshot(snapshot);
+                        let now = cluster.lock_router().route(stream.raw());
+                        cluster.shards[now as usize].install_stream_snapshot(snapshot);
                         self.last_route.insert(stream.raw(), now);
                     } else {
                         self.last_route.insert(stream.raw(), target);
@@ -1288,20 +1211,20 @@ impl<'a> ServeLoop<'a> {
                     continue;
                 }
             }
-            match self.push_to(scope, target as usize, i) {
+            match self.push_to(target as usize, i) {
                 PushOutcome::Pushed => {
                     self.last_route.insert(stream.raw(), target);
                     self.last_pushed.insert(stream.raw(), i);
                     return;
                 }
                 PushOutcome::Shed => {
-                    self.counters.shed.fetch_add(1, Ordering::Relaxed);
-                    let _ = self.results[i].set(StreamOutcome::Shed);
+                    cluster.frames_shed.fetch_add(1, Ordering::Relaxed);
+                    self.call.resolve(i, StreamOutcome::Shed);
                     return;
                 }
                 PushOutcome::Deadline => {
-                    self.counters.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                    let _ = self.results[i].set(StreamOutcome::DeadlineExceeded);
+                    cluster.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+                    self.call.resolve(i, StreamOutcome::DeadlineExceeded);
                     return;
                 }
                 PushOutcome::Rerouted => continue,
@@ -1313,21 +1236,13 @@ impl<'a> ServeLoop<'a> {
     /// migrate without racing a serve. A frame is quiesced when it is
     /// resolved, orphaned into `pending` (its lane died — nothing is
     /// serving it), or is the very frame being dispatched.
-    fn quiesce<'s, 'e>(
-        &mut self,
-        scope: &'s std::thread::Scope<'s, 'e>,
-        stream: StreamId,
-        current: usize,
-    ) where
-        'a: 'e,
-    {
+    fn quiesce(&mut self, stream: StreamId, current: usize) {
         loop {
             let Some(&last) = self.last_pushed.get(&stream.raw()) else { return };
-            if last == current || self.results[last].get().is_some() || self.pending.contains(&last)
-            {
+            if last == current || self.call.resolved(last) || self.pending.contains(&last) {
                 return;
             }
-            self.supervise(scope);
+            self.supervise();
             std::thread::sleep(Duration::from_micros(200));
         }
     }
@@ -1336,17 +1251,9 @@ impl<'a> ServeLoop<'a> {
     /// between blocked slices the tier is re-checked (so a dead drainer
     /// behind a full queue cannot wedge the feeder), and the configured
     /// deadline bounds the total wait.
-    fn push_to<'s, 'e>(
-        &mut self,
-        scope: &'s std::thread::Scope<'s, 'e>,
-        target: usize,
-        i: usize,
-    ) -> PushOutcome
-    where
-        'a: 'e,
-    {
+    fn push_to(&mut self, target: usize, i: usize) -> PushOutcome {
         let lane = Arc::clone(&self.lanes[target]);
-        let deadline = self.cluster.config.supervision.retry.deadline;
+        let deadline = self.call.cluster.config.supervision.retry.deadline;
         let started = Instant::now();
         loop {
             if lane.dead.load(Ordering::Acquire) {
@@ -1360,7 +1267,7 @@ impl<'a> ServeLoop<'a> {
                     if deadline.is_some_and(|d| started.elapsed() >= d) {
                         return PushOutcome::Deadline;
                     }
-                    self.supervise(scope);
+                    self.supervise();
                     if !Arc::ptr_eq(&lane, &self.lanes[target]) {
                         // The lane was respawned out from under us.
                         return PushOutcome::Rerouted;
@@ -1372,14 +1279,11 @@ impl<'a> ServeLoop<'a> {
 
     /// Epilogue: keep supervising and re-dispatching until every frame
     /// has an outcome, then close the lanes so the drainers exit.
-    fn finish<'s, 'e>(&mut self, scope: &'s std::thread::Scope<'s, 'e>)
-    where
-        'a: 'e,
-    {
+    fn finish(&mut self) {
         loop {
-            self.supervise(scope);
-            self.flush_pending(scope);
-            if self.results.iter().all(|slot| slot.get().is_some()) {
+            self.supervise();
+            self.flush_pending();
+            if (0..self.call.frames.len()).all(|i| self.call.resolved(i)) {
                 break;
             }
             std::thread::sleep(Duration::from_micros(500));

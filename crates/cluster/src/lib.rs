@@ -14,17 +14,23 @@
 //!   started from a [`pcnn_store`] snapshot), serving batches on its
 //!   own worker pool with install-time canary health probes feeding a
 //!   per-shard fallback floor;
-//! * [`cluster`] — [`Cluster`] / [`ClusterHandle`]: the data plane
-//!   (feeder + per-shard queues and drainers, load shedding at the
-//!   edge, plus [`serve_streams`] for temporal video streams with
-//!   per-shard cell caches and trackers) and the control plane
-//!   (blue/green [`swap_model`] drains each shard — rolling or all at
+//! * [`cluster`] — [`Cluster`] / [`ClusterHandle`]: the data plane and
+//!   the control plane. The data plane is one supervised serve loop —
+//!   a feeder routing frames to per-shard queues, one drainer per
+//!   shard, load shedding at the edge, dead or stalled shards failed
+//!   over and respawned warm — behind [`serve`] (batches of frames),
+//!   [`serve_streams`] (temporal video streams with per-shard cell
+//!   caches and trackers) and the SLO harnesses. The control plane's
+//!   blue/green [`swap_model`] drains each shard — rolling or all at
 //!   once per [`SwapPolicy`] — with zero dropped frames and stream
-//!   caches invalidated at install);
+//!   caches invalidated at install;
+//! * [`chaos`] — seeded, scripted shard kills, stalls, frame failures
+//!   and checkpoint corruption for the supervised loop;
 //! * [`report`] — [`ClusterReport`]: every shard's
 //!   [`RuntimeReport`](pcnn_runtime::RuntimeReport) plus their merge;
-//! * [`loadgen`] — seeded open-loop Poisson load and the SLO harness
-//!   judging p50/p99 schedule-to-completion latency against budgets.
+//! * [`loadgen`] — seeded open-loop Poisson load and the SLO harnesses,
+//!   judging measured per-frame latency (completion minus due time)
+//!   against p50/p99 budgets.
 //!
 //! ## Determinism
 //!
@@ -43,6 +49,7 @@
 //! (`tests/swap.rs`).
 //!
 //! [`swap_model`]: Cluster::swap_model
+//! [`serve`]: Cluster::serve
 //! [`serve_streams`]: Cluster::serve_streams
 //! [`SwapPolicy`]: cluster::SwapPolicy
 

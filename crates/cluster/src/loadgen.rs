@@ -8,19 +8,26 @@
 //! queueing delay of a falling-behind tier in the latency histogram,
 //! which is the number an SLO is about.
 //!
-//! Latency is measured schedule-to-completion per frame and recorded in
-//! the same fixed-bucket [`Histogram`] the runtime uses, so the p50/p99
-//! the harness reports and the quantiles in a
-//! [`RuntimeReport`](pcnn_runtime::RuntimeReport) come from one estimator
-//! ([`pcnn_trace::quantile_from_buckets`]).
+//! Both harnesses run the cluster's one supervised serve loop and read
+//! its per-frame outcomes. A served frame's latency is measured, never
+//! derived from wall time: its completion time minus its due time. The
+//! due time is the scheduled arrival under [`run_slo`], and the serve
+//! start under [`run_stream_slo`], which offers every frame at once —
+//! so queueing behind a stream's earlier frames, stalls, failover and
+//! respawn all land in the samples. The reported p50/p99 are order
+//! statistics of the samples themselves; the samples are also recorded
+//! in the fixed-bucket [`Histogram`] the runtime uses, whose buckets
+//! merge with a [`RuntimeReport`](pcnn_runtime::RuntimeReport)'s but are
+//! too wide (one spans 100–500 ms) to resolve a failover.
 
-use crate::cluster::{Cluster, StreamFrame};
-use pcnn_runtime::{Histogram, HistogramReport, LATENCY_BOUNDS_US};
-use pcnn_vision::GrayImage;
+use crate::chaos::ChaosPlan;
+use crate::cluster::{Cluster, StreamFrame, StreamOutcome};
+use pcnn_runtime::{Histogram, HistogramReport, StreamFrameResult, LATENCY_BOUNDS_US};
+use pcnn_vision::{Detection, GrayImage};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Parameters of the seeded open-loop arrival process.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -78,7 +85,7 @@ pub fn arrivals(profile: &LoadProfile) -> Vec<Arrival> {
 /// Latency budgets an SLO run is judged against, in microseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SloBudget {
-    /// Median schedule-to-completion budget.
+    /// Median latency budget (completion minus due time).
     pub p50_us: u64,
     /// Tail (99th percentile) budget.
     pub p99_us: u64,
@@ -96,26 +103,26 @@ pub struct SloReport {
     pub served: u64,
     /// Frames shed at the cluster edge.
     pub shed: u64,
-    /// Frames whose admission deadline expired with the primary and
-    /// hedge queues both full (zero when no deadline is configured).
+    /// Frames whose deadline expired while waiting for a full queue or
+    /// between retries (zero when no deadline is configured).
     #[serde(default)]
     pub deadline_exceeded: u64,
-    /// Frames admitted only by hedging to their failover shard.
-    #[serde(default)]
-    pub hedged: u64,
     /// Frames served after at least one failed attempt was retried
-    /// (stream runs under a chaos plan; zero on the batch path).
+    /// (stream frames only: a batch frame gets one attempt).
     #[serde(default)]
     pub retried_served: u64,
     /// Wall time of the run in seconds.
     pub wall_s: f64,
     /// Served throughput in frames per second.
     pub throughput_fps: f64,
-    /// Measured median schedule-to-completion latency (µs).
+    /// Measured median latency (µs): the nearest-rank order statistic
+    /// of the per-frame samples.
     pub p50_us: Option<u64>,
-    /// Measured 99th-percentile schedule-to-completion latency (µs).
+    /// Measured 99th-percentile latency (µs), nearest rank.
     pub p99_us: Option<u64>,
-    /// The full per-frame latency histogram.
+    /// The per-frame latency samples, one per served frame, in the
+    /// runtime's fixed buckets (mergeable with a
+    /// [`RuntimeReport`](pcnn_runtime::RuntimeReport)'s histograms).
     pub latency: HistogramReport,
     /// The budgets the run was judged against.
     pub budget: SloBudget,
@@ -140,11 +147,11 @@ impl std::fmt::Display for SloReport {
             ms(self.p99_us),
             self.budget.p99_us as f64 / 1e3,
         )?;
-        if self.deadline_exceeded + self.hedged + self.retried_served > 0 {
+        if self.deadline_exceeded + self.retried_served > 0 {
             write!(
                 f,
-                "  [{} deadline-exceeded, {} hedged, {} retried-then-served]",
-                self.deadline_exceeded, self.hedged, self.retried_served
+                "  [{} deadline-exceeded, {} retried-then-served]",
+                self.deadline_exceeded, self.retried_served
             )?;
         }
         Ok(())
@@ -171,95 +178,64 @@ where
         .iter()
         .map(|a| StreamFrame { stream: pcnn_core::StreamId::new(a.stream), image: frame_for(a) })
         .collect();
-    let at_us: Vec<u64> = schedule.iter().map(|a| a.at_us).collect();
-    let latency = Histogram::new(&LATENCY_BOUNDS_US);
-
+    let due_us: Vec<u64> = schedule.iter().map(|a| a.at_us).collect();
     let start = Instant::now();
-    let (results, edge) = cluster.serve_paced(&frames, Some(&at_us), Some(&latency));
-    let wall_s = start.elapsed().as_secs_f64();
-
-    let offered = schedule.len() as u64;
-    let served = results.iter().filter(|r| r.is_some()).count() as u64;
-    judge(
-        offered,
-        served,
-        edge.shed,
-        edge.deadline_exceeded,
-        edge.hedges,
-        0,
-        wall_s,
-        latency.snapshot(),
-        budget,
-    )
+    let outcomes = cluster.serve_loop::<Vec<Detection>>(&frames, None, Some(&due_us));
+    judge(&outcomes, &due_us, start.elapsed().as_secs_f64(), budget)
 }
 
 /// Runs a supervised *stream* serve under an optional chaos plan and
 /// judges it like [`run_slo`] — the harness behind the chaos bench.
-/// Frames are submitted as fast as the tier admits them (the stream
-/// path's latency is dominated by queueing, which the per-frame deadline
-/// already bounds); losses split into shed, deadline-exceeded and
-/// retried-then-served, and all three land in the report.
+/// Every frame is offered at the start and admitted as fast as the tier
+/// takes it, so a frame's latency is its completion time; losses split
+/// into shed, deadline-exceeded and retried-then-served, and all three
+/// land in the report.
 pub fn run_stream_slo(
     cluster: &Cluster,
     frames: &[StreamFrame],
     budget: SloBudget,
-    plan: Option<&crate::ChaosPlan>,
+    plan: Option<&ChaosPlan>,
 ) -> SloReport {
-    use crate::cluster::StreamOutcome;
-    let latency = Histogram::new(&LATENCY_BOUNDS_US);
     let start = Instant::now();
-    let outcomes = cluster.serve_streams_with(frames, plan);
-    let wall_s = start.elapsed().as_secs_f64();
-    let mut served = 0u64;
-    let mut shed = 0u64;
-    let mut deadline_exceeded = 0u64;
-    let mut retried_served = 0u64;
-    for outcome in &outcomes {
+    let outcomes = cluster.serve_loop::<StreamFrameResult>(frames, plan, None);
+    judge(&outcomes, &[], start.elapsed().as_secs_f64(), budget)
+}
+
+/// Tallies per-frame outcomes into an [`SloReport`]. Each served frame
+/// adds one latency sample: its completion time minus `due_us[i]`, or
+/// minus nothing when there is no schedule.
+fn judge<R>(
+    outcomes: &[(StreamOutcome<R>, Duration)],
+    due_us: &[u64],
+    wall_s: f64,
+    budget: SloBudget,
+) -> SloReport {
+    let latency = Histogram::new(&LATENCY_BOUNDS_US);
+    let mut samples = Vec::new();
+    let [mut shed, mut deadline_exceeded, mut retried_served] = [0u64; 3];
+    for (i, (outcome, done)) in outcomes.iter().enumerate() {
         match outcome {
             StreamOutcome::Served { attempts, .. } => {
-                served += 1;
-                if *attempts > 1 {
-                    retried_served += 1;
-                }
+                retried_served += u64::from(*attempts > 1);
+                let due = due_us.get(i).copied().unwrap_or(0);
+                let sample = (done.as_micros() as u64).saturating_sub(due);
+                latency.record(sample);
+                samples.push(sample);
             }
             StreamOutcome::Shed => shed += 1,
             StreamOutcome::DeadlineExceeded => deadline_exceeded += 1,
             StreamOutcome::Failed { .. } => {}
         }
     }
-    // The stream path has no schedule; spread the wall time over the
-    // served frames so the histogram still carries a meaningful p50/p99.
-    if let Some(per_frame_us) = ((wall_s * 1e6) as u64).checked_div(served) {
-        for _ in 0..served {
-            latency.record(per_frame_us);
-        }
-    }
-    judge(
-        frames.len() as u64,
-        served,
-        shed,
-        deadline_exceeded,
-        0,
-        retried_served,
-        wall_s,
-        latency.snapshot(),
-        budget,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn judge(
-    offered: u64,
-    served: u64,
-    shed: u64,
-    deadline_exceeded: u64,
-    hedged: u64,
-    retried_served: u64,
-    wall_s: f64,
-    snapshot: HistogramReport,
-    budget: SloBudget,
-) -> SloReport {
-    let (p50_us, p99_us) = (snapshot.p50(), snapshot.p99());
+    // Nearest-rank order statistics of the samples themselves: one
+    // histogram bucket spans 100–500 ms, too wide to tell a failover
+    // from a clean run.
+    samples.sort_unstable();
+    let rank = |q: f64| {
+        samples.get(((q * samples.len() as f64).ceil() as usize).saturating_sub(1)).copied()
+    };
+    let (p50_us, p99_us) = (rank(0.50), rank(0.99));
+    let (offered, served) = (outcomes.len() as u64, samples.len() as u64);
     // Every frame the tier failed to serve counts against the loss
     // budget, whether it was shed outright or timed out.
     let lost_ppm = ((shed + deadline_exceeded) * 1_000_000).checked_div(offered).unwrap_or(0);
@@ -271,13 +247,12 @@ fn judge(
         served,
         shed,
         deadline_exceeded,
-        hedged,
         retried_served,
         wall_s,
         throughput_fps: if wall_s > 0.0 { served as f64 / wall_s } else { 0.0 },
         p50_us,
         p99_us,
-        latency: snapshot,
+        latency: latency.snapshot(),
         budget,
         pass,
     }

@@ -29,7 +29,9 @@ pub struct ClusterReport {
     /// combined bucket-wise, `workers` totalling the threads serving
     /// across the tier.
     pub aggregate: RuntimeReport,
-    /// Frames accepted and routed to a shard queue.
+    /// Frames submitted to the tier: every frame a serve call offered,
+    /// shed ones included, plus every `detect` and `detect_stream`
+    /// call.
     pub frames_routed: u64,
     /// Frames shed at the cluster edge by a full shard queue.
     pub frames_shed: u64,
@@ -46,10 +48,6 @@ pub struct ClusterReport {
     /// Failed frame attempts retried at the serving edge.
     #[serde(default)]
     pub retries: u64,
-    /// Frames hedged to their failover shard when the primary blocked
-    /// past half the deadline.
-    #[serde(default)]
-    pub hedges: u64,
     /// Frames whose deadline expired before any attempt could succeed.
     #[serde(default)]
     pub deadline_exceeded: u64,
@@ -138,12 +136,8 @@ impl std::fmt::Display for ClusterReport {
                 self.failovers, self.respawns, self.retries, self.stalls
             )?;
         }
-        if self.hedges + self.deadline_exceeded > 0 {
-            writeln!(
-                f,
-                "  deadlines: {} hedged  {} exceeded",
-                self.hedges, self.deadline_exceeded
-            )?;
+        if self.deadline_exceeded > 0 {
+            writeln!(f, "  deadlines: {} exceeded", self.deadline_exceeded)?;
         }
         if self.aggregate.degraded_batches > 0 {
             writeln!(

@@ -139,20 +139,6 @@ impl ShardRouter {
             })
             .expect("at least one shard in rotation")
     }
-
-    /// The failover shard for `stream`: the in-rotation shard with the
-    /// *second*-highest rendezvous weight — where the stream would land
-    /// if its primary were drained, and therefore where a deadline-at-
-    /// risk frame is hedged. `None` when only one shard is in rotation.
-    /// Deterministic like [`route`](ShardRouter::route), and consistent
-    /// with it: draining the primary makes `route` return exactly this
-    /// shard.
-    pub fn failover(&self, stream: u64) -> Option<u32> {
-        let primary = self.route(stream);
-        (0..self.shards)
-            .filter(|&s| !self.is_drained(s) && s != primary)
-            .max_by(|&a, &b| self.weight(stream, a).cmp(&self.weight(stream, b)).then(b.cmp(&a)))
-    }
 }
 
 #[cfg(test)]
@@ -184,22 +170,6 @@ mod tests {
         for (shard, &count) in counts.iter().enumerate() {
             assert!(count > 40, "shard {shard} serves only {count}/400 streams");
         }
-    }
-
-    #[test]
-    fn failover_is_where_the_stream_lands_when_its_primary_drains() {
-        let mut router = ShardRouter::new(4, 11).unwrap();
-        for stream in 0..100u64 {
-            let primary = router.route(stream);
-            let failover = router.failover(stream).expect("4 shards in rotation");
-            assert_ne!(failover, primary);
-            router.drain(primary).unwrap();
-            assert_eq!(router.route(stream), failover, "stream {stream}");
-            router.restore(primary).unwrap();
-        }
-        // A single-shard rotation has nowhere to fail over to.
-        let solo = ShardRouter::new(1, 0).unwrap();
-        assert_eq!(solo.failover(5), None);
     }
 
     #[test]

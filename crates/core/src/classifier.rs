@@ -405,6 +405,7 @@ impl EednClassifier {
         for (name, got, want) in [
             ("perm1", state.perm1.len(), state.l1.out_dim()),
             ("perm2", state.perm2.len(), state.l2.out_dim()),
+            ("scaler", state.scaler.dim(), state.in_dim),
         ] {
             if got != want {
                 return Err(shape_err(format!("{name} has {got} entries, expected {want}")));

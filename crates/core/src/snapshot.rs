@@ -14,7 +14,7 @@
 //! detector continues the noise stream where the snapshot left it).
 
 use crate::classifier::{EednClassifier, EednClassifierState, WindowClassifier};
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::extractor::{Extractor, ExtractorSpec};
 use crate::pipeline::TrainedDetector;
 use pcnn_svm::{FeatureScaler, LinearSvm};
@@ -63,9 +63,11 @@ impl TrainedDetector {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`](crate::Error::InvalidConfig) when the
-    /// snapshot decoded but describes an internally inconsistent
-    /// extractor or classifier (tampered or corrupted state).
+    /// [`Error::InvalidConfig`] when the snapshot decoded but describes
+    /// an internally inconsistent extractor or classifier (tampered or
+    /// corrupted state), including a classifier whose input
+    /// dimensionality differs from the extractor's descriptor length —
+    /// such a detector would fail every window it scores.
     pub fn from_snapshot(snapshot: &DetectorSnapshot) -> Result<Self> {
         let extractor = Extractor::from_spec(snapshot.extractor.clone())?;
         let classifier = match &snapshot.classifier {
@@ -76,6 +78,19 @@ impl TrainedDetector {
                 WindowClassifier::Eedn(Box::new(EednClassifier::from_state(state)?))
             }
         };
+        let dims = match &classifier {
+            WindowClassifier::Svm { model, scaler } => [model.dim(), scaler.dim()],
+            WindowClassifier::Eedn(eedn) => [eedn.in_dim(); 2],
+        };
+        if let Some(dim) = dims.into_iter().find(|&dim| dim != extractor.len()) {
+            return Err(Error::InvalidConfig {
+                what: "DetectorSnapshot".into(),
+                reason: format!(
+                    "the classifier expects {dim}-dimensional descriptors, the extractor yields {}",
+                    extractor.len()
+                ),
+            });
+        }
         Ok(TrainedDetector { extractor, classifier })
     }
 }
@@ -179,6 +194,46 @@ mod tests {
         let decoded: DetectorSnapshot = serde_json::from_str(&json).unwrap();
         let restored = TrainedDetector::from_snapshot(&decoded).unwrap();
         assert!(scores_match(&det, &restored));
+
+        // The network behind an extractor of another descriptor length,
+        // or a scaler of another width than the network, is rejected.
+        let wide = DetectorSnapshot {
+            extractor: Extractor::napprox_fp(BlockNorm::L2).spec(),
+            classifier: decoded.classifier.clone(),
+        };
+        assert!(TrainedDetector::from_snapshot(&wide).is_err());
+        let ClassifierSnapshot::Eedn(mut state) = decoded.classifier else { unreachable!() };
+        state.scaler = FeatureScaler::fit(&[vec![0.0; 4], vec![1.0; 4]]);
+        let torn = DetectorSnapshot {
+            extractor: decoded.extractor,
+            classifier: ClassifierSnapshot::Eedn(state),
+        };
+        assert!(TrainedDetector::from_snapshot(&torn).is_err());
+    }
+
+    #[test]
+    fn classifier_dimension_must_match_the_extractor() {
+        let snap = svm_detector(Extractor::napprox_fp(BlockNorm::L2)).to_snapshot();
+        // The same classifier behind an extractor with a different
+        // descriptor length: rejected, naming both dimensions.
+        let mut mismatched = snap.clone();
+        mismatched.extractor = Extractor::napprox_fp(BlockNorm::None).spec();
+        let err = TrainedDetector::from_snapshot(&mismatched).unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig { .. }), "{err}");
+        let expected = Extractor::napprox_fp(BlockNorm::L2).len();
+        assert!(err.to_string().contains(&format!("{expected}-dimensional")), "{err}");
+
+        // A scaler fit on other vectors than the model is caught too.
+        let ClassifierSnapshot::Svm { model, .. } = &snap.classifier else { unreachable!() };
+        let scaler = FeatureScaler::fit(&[vec![0.0; 4], vec![1.0; 4]]);
+        let torn = DetectorSnapshot {
+            extractor: snap.extractor.clone(),
+            classifier: ClassifierSnapshot::Svm { model: model.clone(), scaler },
+        };
+        assert!(matches!(
+            TrainedDetector::from_snapshot(&torn).unwrap_err(),
+            Error::InvalidConfig { .. }
+        ));
     }
 
     #[test]
