@@ -2,20 +2,16 @@
 //!
 //! Drives the sharded serving tier with the `pcnn_cluster` SLO harness
 //! at several shard counts, judges each run against fixed p50/p99
-//! schedule-to-completion budgets, times a blue/green model swap on the
-//! loaded tier, and writes `results/BENCH_cluster.json`.
-//!
-//! The vendored criterion stand-in has no CLI parsing, so this bench
-//! carries its own `main`: pass `--test` (as CI does) for a short smoke
-//! run. Unlike the kernel benches, smoke mode still writes the JSON —
-//! CI uploads `BENCH_cluster.json` as an artifact on every run, so the
-//! document carries a `smoke` flag instead of being skipped.
+//! schedule-to-completion budgets, and times a blue/green model swap on
+//! the loaded tier. Every run uses `Backpressure::Block`, so each
+//! offered frame must be served and none shed; that assert runs in every
+//! mode, so `--check` gates nothing further. Records
+//! `results/BENCH_cluster.json` through [`pcnn_bench::harness`].
 
+use pcnn_bench::harness::{Mode, Report};
 use pcnn_cluster::{arrivals, run_slo, Cluster, ClusterConfig, LoadProfile, SloBudget};
-use pcnn_core::{Extractor, PartitionedSystem, TrainSetConfig, TrainedDetector};
-use pcnn_hog::BlockNorm;
 use pcnn_runtime::{Backpressure, RuntimeConfig};
-use pcnn_vision::{GrayImage, SynthConfig, SynthDataset};
+use pcnn_vision::GrayImage;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -23,8 +19,10 @@ use std::time::Instant;
 /// `results/BENCH_cluster.json`.
 #[derive(Serialize)]
 struct BenchResult {
+    name: String,
     shards: u32,
-    workers: usize,
+    rate_hz: f64,
+    budget: SloBudget,
     offered: u64,
     served: u64,
     shed: u64,
@@ -38,45 +36,21 @@ struct BenchResult {
     swap_ms: f64,
 }
 
-#[derive(Serialize)]
-struct BenchDoc {
-    bench: String,
-    smoke: bool,
-    rate_hz: f64,
-    frames: usize,
-    budget: SloBudget,
-    results: Vec<BenchResult>,
-}
-
-fn trained() -> TrainedDetector {
-    let ds = SynthDataset::new(SynthConfig::default());
-    PartitionedSystem::train_svm_detector(
-        Extractor::napprox_fp(BlockNorm::L2),
-        &ds,
-        TrainSetConfig { n_pos: 60, n_neg: 120, mining_scenes: 1, mining_rounds: 1 },
-    )
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--test");
-    let detector = trained();
-    let snapshot = detector.to_snapshot();
-
-    let ds = SynthDataset::new(SynthConfig::default());
-    let scenes: Vec<GrayImage> = (0..4u64).map(|i| ds.test_scene(i).image.clone()).collect();
+    let mode = Mode::from_args();
+    let snapshot = pcnn_bench::small_svm_detector().to_snapshot();
+    let scenes: Vec<GrayImage> =
+        pcnn_bench::test_scenes(4).into_iter().map(|scene| scene.image).collect();
 
     // The offered rate must be sustainable on the smallest CI host (the
     // serial detection path runs near 10 fps on one core), or the open
     // loop measures nothing but unbounded backlog: keep utilization
     // under one and let the quantiles report the queueing.
-    let profile = LoadProfile {
-        seed: 0xDAC17,
-        streams: 8,
-        rate_hz: 6.0,
-        frames: if smoke { 12 } else { 60 },
-    };
+    let profile =
+        LoadProfile { seed: 0xDAC17, streams: 8, rate_hz: 6.0, frames: mode.pick(60, 12) };
     let schedule = arrivals(&profile);
     let budget = SloBudget { p50_us: 400_000, p99_us: 1_500_000, shed_ppm: 0 };
+    let workers = 2;
 
     let mut results = Vec::new();
     for shards in [1u32, 2, 4] {
@@ -84,7 +58,7 @@ fn main() {
             shards,
             router_seed: 7,
             runtime: RuntimeConfig::builder()
-                .workers(2)
+                .workers(workers)
                 .backpressure(Backpressure::Block)
                 .build()
                 .expect("valid runtime config"),
@@ -97,10 +71,19 @@ fn main() {
         let swap_start = Instant::now();
         cluster.swap_model(&snapshot).expect("swap on warm tier");
         let swap_ms = swap_start.elapsed().as_secs_f64() * 1e3;
-        println!("bench: cluster/shards={shards} {slo}  swap {swap_ms:.2}ms");
+        assert!(
+            slo.served == slo.offered && slo.shed == 0,
+            "shards={shards}: Block backpressure must serve every offered frame \
+             ({} offered, {} served, {} shed)",
+            slo.offered,
+            slo.served,
+            slo.shed
+        );
         results.push(BenchResult {
+            name: format!("shards_{shards}"),
             shards,
-            workers: config.runtime.workers,
+            rate_hz: profile.rate_hz,
+            budget,
             offered: slo.offered,
             served: slo.served,
             shed: slo.shed,
@@ -113,16 +96,5 @@ fn main() {
         });
     }
 
-    let doc = BenchDoc {
-        bench: "cluster_scaling".to_string(),
-        smoke,
-        rate_hz: profile.rate_hz,
-        frames: profile.frames,
-        budget,
-        results,
-    };
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_cluster.json");
-    std::fs::write(path, serde_json::to_string_pretty(&doc).expect("serialize"))
-        .expect("write BENCH_cluster.json");
-    println!("wrote {path}");
+    Report::new("cluster_scaling", workers, &results).finish(mode, "BENCH_cluster.json", &[]);
 }

@@ -3,72 +3,34 @@
 //! Times the blocked GEMM, the im2col+GEMM `Conv2d` forward (f32 and
 //! the multiply-free trinary inference path), and the SIMD-vs-scalar
 //! micro-kernel spread against the golden naive loops in
-//! `pcnn_eedn::reference` at Fig. 5 representative shapes, verifies the
-//! outputs still agree bit-for-bit, and writes
-//! `results/BENCH_kernels.json` with the measured speedups — each entry
-//! tagged with the kernel `backend` it ran on.
-//!
-//! The vendored criterion stand-in has no CLI parsing, so this bench
-//! carries its own `main`:
-//!
-//! * `--test` (as CI's smoke step passes) — one-rep correctness run,
-//!   no JSON write;
-//! * `--check [path]` — re-measure and fail if any speedup drops below
-//!   80% of the committed `BENCH_kernels.json` value (CI's
-//!   bench-regression guard);
-//! * no flags — full run, rewrites `results/BENCH_kernels.json`.
+//! `pcnn_eedn::reference` at Fig. 5 representative shapes, after
+//! checking that every timed output agrees bit-for-bit with its
+//! baseline. Records `results/BENCH_kernels.json` through
+//! [`pcnn_bench::harness`], each row tagged with the kernel `backend`
+//! it ran on; `--check` fails if a speedup drops below 80% of its
+//! committed value.
 
+use pcnn_bench::harness::{time_pair, Gate, Mode, Report};
 use pcnn_eedn::reference::{conv2d_forward, ConvSpec};
 use pcnn_eedn::{Conv2d, Layer, Scratch, Tensor};
 use pcnn_kernels::{gemm, gemm_with_backend, GemmScratch, SimdBackend};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// One timed comparison, as recorded in `results/BENCH_kernels.json`.
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct BenchResult {
     name: String,
     dims: Vec<usize>,
     /// Kernel path and SIMD tier the `kernel_ms` column ran on, e.g.
     /// `"trinary+avx2"`; the baseline column is named in `baseline`.
-    #[serde(default)]
     backend: String,
     /// What `naive_ms` timed: the reference loops (`"naive"`) or a
     /// slower kernel backend (`"f32+scalar"`).
-    #[serde(default)]
     baseline: String,
     naive_ms: f64,
     kernel_ms: f64,
     speedup: f64,
-}
-
-#[derive(Serialize, Deserialize)]
-struct BenchDoc {
-    bench: String,
-    results: Vec<BenchResult>,
-}
-
-/// Minimum seconds per call for a baseline/kernel pair, measured
-/// **interleaved** over `reps` rounds (after one warmup each). Two
-/// defenses keep the recorded speedups reproducible enough for the
-/// `--check` regression gate on a shared box: the minimum (scheduler
-/// interference only ever adds time, so the fastest observation is the
-/// most stable estimate), and interleaving (frequency drift mid-run
-/// hits both sides equally instead of skewing their ratio).
-fn time_pair<A: FnMut(), B: FnMut()>(reps: usize, mut base: A, mut kernel: B) -> (f64, f64) {
-    base();
-    kernel();
-    let (mut best_base, mut best_kernel) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        let t = Instant::now();
-        base();
-        best_base = best_base.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        kernel();
-        best_kernel = best_kernel.min(t.elapsed().as_secs_f64());
-    }
-    (best_base, best_kernel)
 }
 
 fn pseudo(data: &mut [f32], seed: u64) {
@@ -81,41 +43,35 @@ fn pseudo(data: &mut [f32], seed: u64) {
     }
 }
 
-struct ConvCase {
-    name: &'static str,
-    in_ch: usize,
-    out_ch: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
-    groups: usize,
-    h: usize,
-    w: usize,
-    batch: usize,
+/// Images per conv batch.
+const BATCH: usize = 4;
+
+/// A row from a baseline/kernel timing pair, in seconds per call.
+fn row(
+    name: String,
+    dims: Vec<usize>,
+    backend: String,
+    baseline: &str,
+    (naive_s, kernel_s): (f64, f64),
+) -> BenchResult {
+    BenchResult {
+        name,
+        dims,
+        backend,
+        baseline: baseline.to_string(),
+        naive_ms: naive_s * 1e3,
+        kernel_ms: kernel_s * 1e3,
+        speedup: naive_s / kernel_s,
+    }
 }
 
-fn bench_conv(case: &ConvCase, trinary: bool, reps: usize, smoke: bool) -> BenchResult {
-    let layer = Conv2d::new(
-        case.in_ch,
-        case.out_ch,
-        case.k,
-        case.stride,
-        case.pad,
-        case.groups,
-        trinary,
-        42,
-    );
-    let spec = ConvSpec {
-        in_ch: case.in_ch,
-        out_ch: case.out_ch,
-        k: case.k,
-        stride: case.stride,
-        pad: case.pad,
-        groups: case.groups,
-    };
-    let mut data = vec![0.0f32; case.batch * case.in_ch * case.h * case.w];
+/// `spec` over a `BATCH` of `side`×`side` maps.
+fn bench_conv(case: &str, spec: ConvSpec, side: usize, trinary: bool, reps: usize) -> BenchResult {
+    let ConvSpec { in_ch, out_ch, k, stride, pad, groups } = spec;
+    let layer = Conv2d::new(in_ch, out_ch, k, stride, pad, groups, trinary, 42);
+    let mut data = vec![0.0f32; BATCH * in_ch * side * side];
     pseudo(&mut data, 7);
-    let input = Tensor::from_vec(&[case.batch, case.in_ch, case.h, case.w], data);
+    let input = Tensor::from_vec(&[BATCH, in_ch, side, side], data);
     let w_eff = layer.effective_weights();
     let (alpha, bias) = (layer.alpha().to_vec(), layer.bias().to_vec());
 
@@ -123,67 +79,62 @@ fn bench_conv(case: &ConvCase, trinary: bool, reps: usize, smoke: bool) -> Bench
     // equal to the naive oracle at the benchmarked shape — on the
     // trinary path too, where `infer_with` routes through the bitplane
     // kernels.
+    let name = if trinary { format!("{case}_trinary") } else { case.to_string() };
     let mut scratch = Scratch::default();
     let kernel_out = layer.infer_with(&input, &mut scratch);
     let (_, naive_out) = conv2d_forward(&spec, &w_eff, &alpha, &bias, &input);
-    assert_eq!(kernel_out.data().len(), naive_out.data().len(), "{}: shape drift", case.name);
-    for (i, (a, b)) in kernel_out.data().iter().zip(naive_out.data()).enumerate() {
-        assert!(a.to_bits() == b.to_bits(), "{} elem {i}: kernel {a} != naive {b}", case.name);
-    }
+    assert_bits_eq(&name, kernel_out.data(), naive_out.data());
 
-    let name = if trinary { format!("{}_trinary", case.name) } else { case.name.to_string() };
-    let (naive_s, kernel_s) = time_pair(
-        if smoke { 1 } else { reps },
+    let times = time_pair(
+        reps,
         || {
-            black_box(conv2d_forward(&spec, black_box(&w_eff), &alpha, &bias, black_box(&input)));
+            let w = black_box(&w_eff);
+            black_box(conv2d_forward(&spec, w, &alpha, &bias, black_box(&input)));
         },
         || {
             black_box(layer.infer_with(black_box(&input), &mut scratch));
         },
     );
-    let speedup = naive_s / kernel_s;
     let backend =
         format!("{}+{}", if trinary { "trinary" } else { "f32" }, pcnn_kernels::backend_label());
-    println!(
-        "bench: conv/{name:<36} [{backend}] naive {:>9.3}ms  kernel {:>9.3}ms  speedup {speedup:>6.2}x",
-        naive_s * 1e3,
-        kernel_s * 1e3,
-    );
-    BenchResult {
-        name,
-        // batch, in_ch, out_ch, h, w, k, stride, pad, groups
-        dims: vec![
-            case.batch,
-            case.in_ch,
-            case.out_ch,
-            case.h,
-            case.w,
-            case.k,
-            case.stride,
-            case.pad,
-            case.groups,
-        ],
-        backend,
-        baseline: "naive".to_string(),
-        naive_ms: naive_s * 1e3,
-        kernel_ms: kernel_s * 1e3,
-        speedup,
-    }
+    // batch, in_ch, out_ch, h, w, k, stride, pad, groups
+    let dims = vec![BATCH, in_ch, out_ch, side, side, k, stride, pad, groups];
+    row(name, dims, backend, "naive", times)
 }
 
-fn bench_raw_gemm(m: usize, k: usize, n: usize, reps: usize, smoke: bool) -> BenchResult {
-    let mut a = vec![0.0f32; m * k];
-    let mut b = vec![0.0f32; k * n];
-    pseudo(&mut a, 1);
-    pseudo(&mut b, 2);
-    let mut c_naive = vec![0.0f32; m * n];
-    let mut c_kernel = vec![0.0f32; m * n];
+/// One `m`×`k` by `k`×`n` GEMM into a zeroed `c` on `backend`.
+fn gemm_on(
+    backend: SimdBackend,
+    s: &mut GemmScratch,
+    mkn: [usize; 3],
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+) {
+    let [m, k, n] = mkn;
+    c.fill(0.0);
+    gemm_with_backend(backend, s, m, k, n, black_box(a), k, black_box(b), n, c, n);
+    black_box(c);
+}
+
+/// Seeded `m`×`k` and `k`×`n` operands.
+fn operands([m, k, n]: [usize; 3], seed: u64) -> (Vec<f32>, Vec<f32>) {
+    let (mut a, mut b) = (vec![0.0f32; m * k], vec![0.0f32; k * n]);
+    pseudo(&mut a, seed);
+    pseudo(&mut b, seed + 1);
+    (a, b)
+}
+
+fn bench_raw_gemm(mkn: [usize; 3], reps: usize) -> BenchResult {
+    let [m, k, n] = mkn;
+    let (a, b) = operands(mkn, 1);
+    let (mut c_naive, mut c_kernel) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
     let mut s = GemmScratch::default();
 
-    let (naive_s, kernel_s) = time_pair(
-        if smoke { 1 } else { reps },
+    let times = time_pair(
+        reps,
         || {
-            c_naive.iter_mut().for_each(|v| *v = 0.0);
+            c_naive.fill(0.0);
             for i in 0..m {
                 for p in 0..k {
                     let av = a[i * k + p];
@@ -195,208 +146,70 @@ fn bench_raw_gemm(m: usize, k: usize, n: usize, reps: usize, smoke: bool) -> Ben
             black_box(&mut c_naive);
         },
         || {
-            c_kernel.iter_mut().for_each(|v| *v = 0.0);
+            c_kernel.fill(0.0);
             gemm(&mut s, m, k, n, black_box(&a), k, black_box(&b), n, &mut c_kernel, n);
             black_box(&mut c_kernel);
         },
     );
-    let speedup = naive_s / kernel_s;
-    let backend = format!("f32+{}", pcnn_kernels::backend_label());
-    println!(
-        "bench: gemm/{m}x{k}x{n:<26} [{backend}] naive {:>9.3}ms  kernel {:>9.3}ms  speedup {speedup:>6.2}x",
-        naive_s * 1e3,
-        kernel_s * 1e3,
-    );
-    BenchResult {
-        name: format!("gemm_{m}x{k}x{n}"),
-        dims: vec![m, k, n],
-        backend,
-        baseline: "naive".to_string(),
-        naive_ms: naive_s * 1e3,
-        kernel_ms: kernel_s * 1e3,
-        speedup,
-    }
+    let name = format!("gemm_{m}x{k}x{n}");
+    assert_bits_eq(&name, &c_kernel, &c_naive);
+    row(name, mkn.to_vec(), format!("f32+{}", pcnn_kernels::backend_label()), "naive", times)
 }
 
 /// The SIMD micro-kernel against the forced-scalar fallback on the same
 /// blocked GEMM — isolates what runtime dispatch buys over safe scalar.
-fn bench_simd_vs_scalar(m: usize, k: usize, n: usize, reps: usize, smoke: bool) -> BenchResult {
+fn bench_simd_vs_scalar(mkn: [usize; 3], reps: usize) -> BenchResult {
+    let [m, k, n] = mkn;
     let hw = pcnn_kernels::detect_backend();
-    let mut a = vec![0.0f32; m * k];
-    let mut b = vec![0.0f32; k * n];
-    pseudo(&mut a, 3);
-    pseudo(&mut b, 4);
-    let mut c_scalar = vec![0.0f32; m * n];
-    let mut c_simd = vec![0.0f32; m * n];
-    let mut s_scalar = GemmScratch::default();
-    let mut s_simd = GemmScratch::default();
+    let (a, b) = operands(mkn, 3);
+    let (mut c_scalar, mut c_simd) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+    let (mut s_scalar, mut s_simd) = (GemmScratch::default(), GemmScratch::default());
 
-    let (scalar_s, simd_s) = time_pair(
-        if smoke { 1 } else { reps },
-        || {
-            c_scalar.iter_mut().for_each(|v| *v = 0.0);
-            gemm_with_backend(
-                SimdBackend::Scalar,
-                &mut s_scalar,
-                m,
-                k,
-                n,
-                black_box(&a),
-                k,
-                black_box(&b),
-                n,
-                &mut c_scalar,
-                n,
-            );
-            black_box(&mut c_scalar);
-        },
-        || {
-            c_simd.iter_mut().for_each(|v| *v = 0.0);
-            gemm_with_backend(
-                hw,
-                &mut s_simd,
-                m,
-                k,
-                n,
-                black_box(&a),
-                k,
-                black_box(&b),
-                n,
-                &mut c_simd,
-                n,
-            );
-            black_box(&mut c_simd);
-        },
+    let times = time_pair(
+        reps,
+        || gemm_on(SimdBackend::Scalar, &mut s_scalar, mkn, &a, &b, &mut c_scalar),
+        || gemm_on(hw, &mut s_simd, mkn, &a, &b, &mut c_simd),
     );
-    let speedup = scalar_s / simd_s;
-    let backend = format!("f32+{}", hw.name());
-    println!(
-        "bench: gemm/{m}x{k}x{n}_simd_vs_scalar  [{backend}] scalar {:>9.3}ms  simd {:>9.3}ms  speedup {speedup:>6.2}x",
-        scalar_s * 1e3,
-        simd_s * 1e3,
-    );
-    BenchResult {
-        name: format!("gemm_{m}x{k}x{n}_simd_vs_scalar"),
-        dims: vec![m, k, n],
-        backend,
-        baseline: "f32+scalar".to_string(),
-        naive_ms: scalar_s * 1e3,
-        kernel_ms: simd_s * 1e3,
-        speedup,
-    }
+    let name = format!("gemm_{m}x{k}x{n}_simd_vs_scalar");
+    assert_bits_eq(&name, &c_simd, &c_scalar);
+    row(name, mkn.to_vec(), format!("f32+{}", hw.name()), "f32+scalar", times)
 }
 
-/// Compares fresh measurements against a committed results file:
-/// any entry whose measured speedup falls below `floor` × committed
-/// speedup is a regression. Entries present on only one side are
-/// reported but don't fail (they have nothing to regress against).
-fn check_regressions(measured: &[BenchResult], committed_path: &str, floor: f64) {
-    let text = std::fs::read_to_string(committed_path)
-        .unwrap_or_else(|e| panic!("read {committed_path}: {e}"));
-    let committed: BenchDoc = serde_json::from_str(&text).expect("parse committed bench doc");
-    let mut failures = Vec::new();
-    for old in &committed.results {
-        let Some(new) = measured.iter().find(|r| r.name == old.name) else {
-            println!("check: {:<40} committed but not measured — skipped", old.name);
-            continue;
-        };
-        let threshold = old.speedup * floor;
-        let verdict = if new.speedup < threshold { "REGRESSED" } else { "ok" };
-        println!(
-            "check: {:<40} committed {:>7.2}x  measured {:>7.2}x  (floor {threshold:>7.2}x) {verdict}",
-            old.name, old.speedup, new.speedup,
-        );
-        if new.speedup < threshold {
-            failures.push(format!(
-                "{}: speedup {:.2}x below {:.0}% of committed {:.2}x",
-                old.name,
-                new.speedup,
-                floor * 100.0,
-                old.speedup
-            ));
-        }
+/// The agreement gate every timed case passes: the kernel output must
+/// equal its baseline's bit for bit.
+fn assert_bits_eq(case: &str, got: &[f32], want: &[f32]) {
+    assert_eq!(got.len(), want.len(), "{case}: shape drift");
+    for (i, (a, b)) in got.iter().zip(want).enumerate() {
+        assert!(a.to_bits() == b.to_bits(), "{case} elem {i}: kernel {a} != baseline {b}");
     }
-    assert!(failures.is_empty(), "bench regressions detected:\n  {}", failures.join("\n  "));
-    println!("check: no speedup fell below {:.0}% of its committed value", floor * 100.0);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--test");
-    let check = args.iter().position(|a| a == "--check").map(|i| {
-        args.get(i + 1)
-            .filter(|p| !p.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(default_results_path)
-    });
-    let reps = if smoke { 1 } else { 20 };
-
+    let mode = Mode::from_args();
+    let reps = mode.pick(20, 1);
+    let conv =
+        |in_ch, out_ch, k, pad, groups| ConvSpec { in_ch, out_ch, k, stride: 1, pad, groups };
     let cases = [
         // Fig. 5 front: 32 -> 64 channels over a 30x30 map, 3x3 taps.
-        ConvCase {
-            name: "fig5_32to64_30x30_k3",
-            in_ch: 32,
-            out_ch: 64,
-            k: 3,
-            stride: 1,
-            pad: 1,
-            groups: 1,
-            h: 30,
-            w: 30,
-            batch: 4,
-        },
+        ("fig5_32to64_30x30_k3", conv(32, 64, 3, 1, 1), 30),
         // Same shape with crossbar-style channel groups.
-        ConvCase {
-            name: "fig5_grouped_g4",
-            in_ch: 32,
-            out_ch: 64,
-            k: 3,
-            stride: 1,
-            pad: 1,
-            groups: 4,
-            h: 30,
-            w: 30,
-            batch: 4,
-        },
+        ("fig5_grouped_g4", conv(32, 64, 3, 1, 4), 30),
         // 1x1 mixing layer on a pooled map.
-        ConvCase {
-            name: "mix_64to64_15x15_k1",
-            in_ch: 64,
-            out_ch: 64,
-            k: 1,
-            stride: 1,
-            pad: 0,
-            groups: 1,
-            h: 15,
-            w: 15,
-            batch: 4,
-        },
+        ("mix_64to64_15x15_k1", conv(64, 64, 1, 0, 1), 15),
     ];
 
     let mut results: Vec<BenchResult> = Vec::new();
-    for case in &cases {
-        results.push(bench_conv(case, false, reps, smoke));
-        results.push(bench_conv(case, true, reps, smoke));
+    for (name, spec, side) in cases {
+        results.push(bench_conv(name, spec, side, false, reps));
+        results.push(bench_conv(name, spec, side, true, reps));
     }
     // The raw GEMM behind the fig5 conv: (out_ch) x (in_ch*k*k) x (ho*wo).
-    results.push(bench_raw_gemm(64, 288, 900, reps, smoke));
-    results.push(bench_simd_vs_scalar(64, 288, 900, reps, smoke));
+    results.push(bench_raw_gemm([64, 288, 900], reps));
+    results.push(bench_simd_vs_scalar([64, 288, 900], reps));
 
-    if let Some(path) = check {
-        check_regressions(&results, &path, 0.8);
-        return;
-    }
-    if smoke {
-        println!("kernel_gemm: smoke mode (--test), skipping JSON write");
-        return;
-    }
-    let doc = BenchDoc { bench: "kernel_gemm".to_string(), results };
-    let path = default_results_path();
-    std::fs::write(&path, serde_json::to_string_pretty(&doc).expect("serialize"))
-        .expect("write BENCH_kernels.json");
-    println!("wrote {path}");
-}
-
-fn default_results_path() -> String {
-    concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_kernels.json").to_string()
+    Report::new("kernel_gemm", 1, &results).finish(
+        mode,
+        "BENCH_kernels.json",
+        &[Gate::Floor("speedup")],
+    );
 }

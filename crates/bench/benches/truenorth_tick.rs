@@ -4,32 +4,23 @@
 //! hot-neuron masked sweep) against `reference::run`'s per-tick scan on
 //! self-sustaining relay-ring workloads at controlled activity levels —
 //! 1%, 10% and 50% of cores stepping per tick — on a full 4096-core
-//! chip and on a 2-chip mesh, verifies both engines still agree
-//! bit-for-bit on the observable state, and writes
-//! `results/BENCH_truenorth.json` with the measured speedups.
-//!
-//! The vendored criterion stand-in has no CLI parsing, so this bench
-//! carries its own `main`:
-//!
-//! * `--test` (as CI's smoke step passes) — one-rep correctness run,
-//!   no JSON write;
-//! * `--check [path]` — re-measure and fail if any speedup drops below
-//!   80% of the committed `BENCH_truenorth.json` value (CI's
-//!   bench-regression guard);
-//! * no flags — full run, rewrites `results/BENCH_truenorth.json`.
+//! chip and on a 2-chip mesh, after checking that both engines agree
+//! bit-for-bit on the observable state. Records
+//! `results/BENCH_truenorth.json` through [`pcnn_bench::harness`];
+//! `--check` fails if a speedup drops below 80% of its committed value.
 
+use pcnn_bench::harness::{time_pair, Gate, Mode, Report};
 use pcnn_truenorth::{
     reference, CoreHandle, Engine, Mesh, NeuroCoreBuilder, NeuronConfig, Placement, SpikeTarget,
     System, CHIP_CORES,
 };
-use serde::{Deserialize, Serialize};
-use std::time::Instant;
+use serde::Serialize;
 
 /// One timed comparison, as recorded in `results/BENCH_truenorth.json`.
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct BenchResult {
     name: String,
-    /// cores, ring length, ticks per rep, chips.
+    /// cores, ring length, seeded rings, ticks per rep, chips.
     dims: Vec<usize>,
     /// Nominal fraction of cores stepping per tick, in percent.
     activity_pct: f64,
@@ -38,28 +29,13 @@ struct BenchResult {
     speedup: f64,
 }
 
-#[derive(Serialize, Deserialize)]
-struct BenchDoc {
-    bench: String,
-    results: Vec<BenchResult>,
-}
-
-/// Minimum seconds per call over `reps` interleaved rounds (after one
-/// warmup each) — same estimator as `kernel_gemm.rs`: the minimum sheds
-/// scheduler noise, interleaving cancels frequency drift.
-fn time_pair<A: FnMut(), B: FnMut()>(reps: usize, mut base: A, mut kernel: B) -> (f64, f64) {
-    base();
-    kernel();
-    let (mut best_base, mut best_kernel) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        let t = Instant::now();
-        base();
-        best_base = best_base.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        kernel();
-        best_kernel = best_kernel.min(t.elapsed().as_secs_f64());
-    }
-    (best_base, best_kernel)
+struct TickCase {
+    name: String,
+    cores: u32,
+    ring_len: u32,
+    seeded_rings: u32,
+    mesh_hop: Option<u32>,
+    ticks: u64,
 }
 
 /// Builds `cores` relay cores wired into rings of `ring_len` (each core's
@@ -69,7 +45,7 @@ fn time_pair<A: FnMut(), B: FnMut()>(reps: usize, mut base: A, mut kernel: B) ->
 /// `seeded_rings / cores`. The remaining cores are fully built but idle,
 /// the duty-cycled shape low activity takes on real workloads (a few
 /// hot cores busy every tick, the rest of the chip dark).
-fn ring_system(cores: u32, ring_len: u32, seeded_rings: u32, mesh_hop: Option<u32>) -> System {
+fn ring_system(&TickCase { cores, ring_len, seeded_rings, mesh_hop, .. }: &TickCase) -> System {
     let mut sys = System::with_seed(0xBEE5);
     for i in 0..cores {
         let base = i - i % ring_len;
@@ -94,59 +70,39 @@ fn ring_system(cores: u32, ring_len: u32, seeded_rings: u32, mesh_hop: Option<u3
     sys
 }
 
-struct TickCase {
-    name: &'static str,
-    cores: u32,
-    ring_len: u32,
-    seeded_rings: u32,
-    mesh_hop: Option<u32>,
-    ticks: u64,
-}
-
-fn bench_case(case: &TickCase, reps: usize, smoke: bool) -> BenchResult {
-    let ticks = if smoke { case.ticks.min(64) } else { case.ticks };
+fn bench_case(case: &TickCase, mode: Mode) -> BenchResult {
+    let ticks = mode.pick(case.ticks, case.ticks.min(64));
 
     // Correctness gate before timing: both engines must agree on the
-    // full observable state of this exact workload.
+    // full observable state of this exact workload. The two systems are
+    // dropped before the timed pair is built.
+    let name = &case.name;
     {
-        let mut oracle = ring_system(case.cores, case.ring_len, case.seeded_rings, case.mesh_hop);
+        let mut oracle = ring_system(case);
         oracle.set_engine(Engine::Reference);
         oracle.run(96);
-        let mut event = ring_system(case.cores, case.ring_len, case.seeded_rings, case.mesh_hop);
+        let mut event = ring_system(case);
         event.run(96);
-        assert_eq!(event.stats(), oracle.stats(), "{}: engines diverged", case.name);
-        assert_eq!(event.rng_state(), oracle.rng_state(), "{}: RNG streams diverged", case.name);
-        assert_eq!(
-            event.drain_output_spikes(),
-            oracle.drain_output_spikes(),
-            "{}: outputs diverged",
-            case.name
-        );
+        assert_eq!(event.stats(), oracle.stats(), "{name}: engines diverged");
+        assert_eq!(event.rng_state(), oracle.rng_state(), "{name}: RNG streams diverged");
+        let (got, want) = (event.drain_output_spikes(), oracle.drain_output_spikes());
+        assert_eq!(got, want, "{name}: outputs diverged");
     }
 
     // The ring workload is stationary, so repeated `run(ticks)` calls on
     // a persistent system time identical work every round.
-    let mut scan_sys = ring_system(case.cores, case.ring_len, case.seeded_rings, case.mesh_hop);
+    let mut scan_sys = ring_system(case);
     scan_sys.set_engine(Engine::Reference);
-    let mut event_sys = ring_system(case.cores, case.ring_len, case.seeded_rings, case.mesh_hop);
+    let mut event_sys = ring_system(case);
     let (scan_s, event_s) = time_pair(
-        if smoke { 1 } else { reps },
+        mode.pick(10, 1),
         || reference::run(&mut scan_sys, ticks),
         || event_sys.run(ticks),
     );
 
-    let speedup = scan_s / event_s;
-    let activity_pct = 100.0 * f64::from(case.seeded_rings) / f64::from(case.cores);
     let chips = (case.cores as usize).div_ceil(CHIP_CORES);
-    println!(
-        "bench: tick/{:<28} ({} cores, {chips} chip(s), {activity_pct:>4.1}% active) scan {:>9.3}ms  event {:>9.3}ms  speedup {speedup:>6.2}x",
-        case.name,
-        case.cores,
-        scan_s * 1e3,
-        event_s * 1e3,
-    );
     BenchResult {
-        name: case.name.to_string(),
+        name: name.clone(),
         dims: vec![
             case.cores as usize,
             case.ring_len as usize,
@@ -154,127 +110,39 @@ fn bench_case(case: &TickCase, reps: usize, smoke: bool) -> BenchResult {
             ticks as usize,
             chips,
         ],
-        activity_pct,
+        activity_pct: 100.0 * f64::from(case.seeded_rings) / f64::from(case.cores),
         scan_ms: scan_s * 1e3,
         event_ms: event_s * 1e3,
-        speedup,
+        speedup: scan_s / event_s,
     }
-}
-
-/// Same regression contract as `kernel_gemm.rs`: any measured speedup
-/// below `floor` × its committed value fails the check.
-fn check_regressions(measured: &[BenchResult], committed_path: &str, floor: f64) {
-    let text = std::fs::read_to_string(committed_path)
-        .unwrap_or_else(|e| panic!("read {committed_path}: {e}"));
-    let committed: BenchDoc = serde_json::from_str(&text).expect("parse committed bench doc");
-    let mut failures = Vec::new();
-    for old in &committed.results {
-        let Some(new) = measured.iter().find(|r| r.name == old.name) else {
-            println!("check: {:<40} committed but not measured — skipped", old.name);
-            continue;
-        };
-        let threshold = old.speedup * floor;
-        let verdict = if new.speedup < threshold { "REGRESSED" } else { "ok" };
-        println!(
-            "check: {:<40} committed {:>7.2}x  measured {:>7.2}x  (floor {threshold:>7.2}x) {verdict}",
-            old.name, old.speedup, new.speedup,
-        );
-        if new.speedup < threshold {
-            failures.push(format!(
-                "{}: speedup {:.2}x below {:.0}% of committed {:.2}x",
-                old.name,
-                new.speedup,
-                floor * 100.0,
-                old.speedup
-            ));
-        }
-    }
-    assert!(failures.is_empty(), "bench regressions detected:\n  {}", failures.join("\n  "));
-    println!("check: no speedup fell below {:.0}% of its committed value", floor * 100.0);
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--test");
-    let check = args.iter().position(|a| a == "--check").map(|i| {
-        args.get(i + 1)
-            .filter(|p| !p.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(default_results_path)
-    });
-    let reps = if smoke { 1 } else { 10 };
-
-    let chip = CHIP_CORES as u32;
+    let mode = Mode::from_args();
     // 1% activity: a fixed hot set of short rings (duty-cycled chip).
     // 10%/50%: rings tile every core, so activity also spreads spatially.
-    let cases = [
-        TickCase {
-            name: "chip4096_act1",
-            cores: chip,
-            ring_len: 2,
-            seeded_rings: 41,
-            mesh_hop: None,
-            ticks: 512,
-        },
-        TickCase {
-            name: "chip4096_act10",
-            cores: chip,
-            ring_len: 10,
-            seeded_rings: 410,
-            mesh_hop: None,
-            ticks: 256,
-        },
-        TickCase {
-            name: "chip4096_act50",
-            cores: chip,
-            ring_len: 2,
-            seeded_rings: 2048,
-            mesh_hop: None,
-            ticks: 128,
-        },
-        TickCase {
-            name: "mesh2chip_act1",
-            cores: 2 * chip,
-            ring_len: 2,
-            seeded_rings: 82,
-            mesh_hop: Some(2),
-            ticks: 512,
-        },
-        TickCase {
-            name: "mesh2chip_act10",
-            cores: 2 * chip,
-            ring_len: 10,
-            seeded_rings: 820,
-            mesh_hop: Some(2),
-            ticks: 256,
-        },
-        TickCase {
-            name: "mesh2chip_act50",
-            cores: 2 * chip,
-            ring_len: 2,
-            seeded_rings: 4096,
-            mesh_hop: Some(2),
-            ticks: 128,
-        },
-    ];
-
-    let results: Vec<BenchResult> = cases.iter().map(|c| bench_case(c, reps, smoke)).collect();
-
-    if let Some(path) = check {
-        check_regressions(&results, &path, 0.8);
-        return;
+    // Each level runs on one chip and on a 2-chip line mesh with 2-tick
+    // hops, which seeds twice the rings.
+    let mut cases = Vec::new();
+    for (topology, chips, mesh_hop) in [("chip4096", 1, None), ("mesh2chip", 2, Some(2))] {
+        for (pct, ring_len, rings_per_chip, ticks) in
+            [(1, 2, 41, 512), (10, 10, 410, 256), (50, 2, 2048, 128)]
+        {
+            cases.push(TickCase {
+                name: format!("{topology}_act{pct}"),
+                cores: chips * CHIP_CORES as u32,
+                ring_len,
+                seeded_rings: chips * rings_per_chip,
+                mesh_hop,
+                ticks,
+            });
+        }
     }
-    if smoke {
-        println!("truenorth_tick: smoke mode (--test), skipping JSON write");
-        return;
-    }
-    let doc = BenchDoc { bench: "truenorth_tick".to_string(), results };
-    let path = default_results_path();
-    std::fs::write(&path, serde_json::to_string_pretty(&doc).expect("serialize"))
-        .expect("write BENCH_truenorth.json");
-    println!("wrote {path}");
-}
 
-fn default_results_path() -> String {
-    concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_truenorth.json").to_string()
+    let results: Vec<BenchResult> = cases.iter().map(|c| bench_case(c, mode)).collect();
+    Report::new("truenorth_tick", 1, &results).finish(
+        mode,
+        "BENCH_truenorth.json",
+        &[Gate::Floor("speedup")],
+    );
 }

@@ -1,32 +1,29 @@
 //! Temporal-cache streaming throughput over seeded video streams.
 //!
-//! Serves the same synthetic video sequence twice through one
-//! [`DetectionServer`] — once per-frame with a cold pipeline
-//! (`detect_frame`, no temporal state) and once through the streaming
-//! path (`detect_stream`, change-driven cell cache + tracker) — for
-//! three scene regimes: a static camera (best case), a panning camera
-//! (worst case) and a crowded street (typical case). Writes
-//! `results/BENCH_streaming.json` with per-scene throughput, speedup
-//! and cache hit rate.
-//!
-//! The vendored criterion stand-in has no CLI parsing, so this bench
-//! carries its own `main`: pass `--test` (as CI does) for a short smoke
-//! run. Smoke mode still writes the JSON, flagged `smoke`, so CI can
-//! upload the artifact on every run.
+//! Serves the same synthetic video sequence through one
+//! [`DetectionServer`] two ways — per-frame with a cold pipeline
+//! (`detect_frame`, no temporal state) and through the streaming path
+//! (`detect_stream`, change-driven cell cache + tracker) — for three
+//! scene regimes: a static camera (best case), a panning camera (worst
+//! case) and a crowded street (typical case). Each cached pass opens a
+//! fresh stream, so every pass starts cold and reuses exactly the same
+//! cells. Records `results/BENCH_streaming.json` through
+//! [`pcnn_bench::harness`]; `--check` holds the reuse counts exact
+//! and the speedup to 80% of its committed value.
 
+use pcnn_bench::harness::{time_pair, Gate, Mode, Report};
 use pcnn_core::pipeline::Detector;
-use pcnn_core::{Extractor, PartitionedSystem, StreamId, TrainSetConfig, TrainedDetector};
-use pcnn_hog::BlockNorm;
+use pcnn_core::{StreamId, TrainedDetector};
 use pcnn_runtime::{DetectionServer, RuntimeConfig};
-use pcnn_vision::{GrayImage, SynthConfig, SynthDataset, TemporalConfig, VideoStream};
+use pcnn_vision::{GrayImage, TemporalConfig, VideoStream};
 use serde::Serialize;
-use std::time::Instant;
+use std::hint::black_box;
 
 /// One scene regime's cached-vs-uncached outcome, as recorded in
 /// `results/BENCH_streaming.json`.
 #[derive(Serialize)]
 struct SceneResult {
-    scene: String,
+    name: String,
     frames: u64,
     uncached_wall_s: f64,
     uncached_fps: f64,
@@ -36,25 +33,8 @@ struct SceneResult {
     cells_reused: u64,
     cells_recomputed: u64,
     hit_rate: f64,
-    /// Streaming output matched the cold per-frame run on every frame.
+    /// Every cached pass matched the cold per-frame run on every frame.
     bit_identical: bool,
-}
-
-#[derive(Serialize)]
-struct BenchDoc {
-    bench: String,
-    smoke: bool,
-    workers: usize,
-    results: Vec<SceneResult>,
-}
-
-fn trained() -> TrainedDetector {
-    let ds = SynthDataset::new(SynthConfig::default());
-    PartitionedSystem::train_svm_detector(
-        Extractor::napprox_fp(BlockNorm::L2),
-        &ds,
-        TrainSetConfig { n_pos: 60, n_neg: 120, mining_scenes: 1, mining_rounds: 1 },
-    )
 }
 
 fn bench_scene(
@@ -62,34 +42,45 @@ fn bench_scene(
     config: TemporalConfig,
     detector: &TrainedDetector,
     workers: usize,
-    frames: u64,
+    mode: Mode,
 ) -> SceneResult {
     let source = VideoStream::new(config);
+    let frames = mode.pick(30, 6);
     let images: Vec<GrayImage> = (0..frames).map(|t| source.render(t).image).collect();
     let runtime = RuntimeConfig::builder().workers(workers).build().expect("valid config");
     let server =
         DetectionServer::new(Detector::default(), detector, runtime).expect("valid server");
 
-    let uncached_start = Instant::now();
     let cold: Vec<_> = images.iter().map(|img| server.detect_frame(img)).collect();
-    let uncached_wall_s = uncached_start.elapsed().as_secs_f64();
-
-    let handle = server.open_stream(StreamId::new(1));
-    let mut cells_reused = 0;
-    let mut cells_recomputed = 0;
-    let mut bit_identical = true;
-    let cached_start = Instant::now();
-    for (img, reference) in images.iter().zip(&cold) {
-        let r = server.detect_stream(&handle, img).expect("healthy stream frame");
-        cells_reused += r.cells_reused;
-        cells_recomputed += r.cells_recomputed;
-        bit_identical &= &r.detections == reference;
-    }
-    let cached_wall_s = cached_start.elapsed().as_secs_f64();
+    let mut passes = Vec::new();
+    let (uncached_wall_s, cached_wall_s) = time_pair(
+        mode.pick(3, 1),
+        || {
+            for img in &images {
+                black_box(server.detect_frame(img));
+            }
+        },
+        || {
+            let handle = server.open_stream(StreamId::new(passes.len() as u64));
+            let (mut reused, mut recomputed, mut identical) = (0, 0, true);
+            for (img, reference) in images.iter().zip(&cold) {
+                let r = server.detect_stream(&handle, img).expect("healthy stream frame");
+                reused += r.cells_reused;
+                recomputed += r.cells_recomputed;
+                identical &= &r.detections == reference;
+            }
+            passes.push((reused, recomputed, identical));
+        },
+    );
+    let (cells_reused, cells_recomputed, bit_identical) = passes[0];
+    assert!(
+        passes.iter().all(|&p| p == passes[0]),
+        "{name}: every cold-started stream pass must reuse the same cells: {passes:?}"
+    );
 
     let total = (cells_reused + cells_recomputed).max(1);
-    let result = SceneResult {
-        scene: name.to_string(),
+    SceneResult {
+        name: name.to_string(),
         frames,
         uncached_wall_s,
         uncached_fps: frames as f64 / uncached_wall_s,
@@ -100,37 +91,27 @@ fn bench_scene(
         cells_recomputed,
         hit_rate: cells_reused as f64 / total as f64,
         bit_identical,
-    };
-    println!(
-        "bench: streaming/{name} uncached {:.1} fps, cached {:.1} fps ({:.2}x, {:.0}% hit){}",
-        result.uncached_fps,
-        result.cached_fps,
-        result.speedup,
-        100.0 * result.hit_rate,
-        if result.bit_identical { "" } else { "  OUTPUT DIVERGED" },
-    );
-    result
+    }
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--test");
-    let detector = trained();
+    let mode = Mode::from_args();
+    let detector = pcnn_bench::small_svm_detector();
     let workers = 2;
-    let frames = if smoke { 6 } else { 30 };
-
-    let results = vec![
-        bench_scene("static", TemporalConfig::static_scene(3), &detector, workers, frames),
-        bench_scene("panning", TemporalConfig::panning_scene(3), &detector, workers, frames),
-        bench_scene("crowded", TemporalConfig::crowded_scene(3), &detector, workers, frames),
-    ];
+    let results = [
+        ("static", TemporalConfig::static_scene(3)),
+        ("panning", TemporalConfig::panning_scene(3)),
+        ("crowded", TemporalConfig::crowded_scene(3)),
+    ]
+    .map(|(name, config)| bench_scene(name, config, &detector, workers, mode));
     assert!(
         results.iter().all(|r| r.bit_identical),
         "streaming output must be bit-identical to the cold per-frame run"
     );
 
-    let doc = BenchDoc { bench: "video_streaming".to_string(), smoke, workers, results };
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/BENCH_streaming.json");
-    std::fs::write(path, serde_json::to_string_pretty(&doc).expect("serialize"))
-        .expect("write BENCH_streaming.json");
-    println!("wrote {path}");
+    Report::new("video_streaming", workers, &results).finish(
+        mode,
+        "BENCH_streaming.json",
+        &[Gate::Exact("cells_reused"), Gate::Exact("cells_recomputed"), Gate::Floor("speedup")],
+    );
 }

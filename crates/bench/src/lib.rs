@@ -1,4 +1,5 @@
-//! Experiment harness: everything the per-figure binaries share.
+//! Experiment harness: everything the per-figure binaries and the
+//! result-recording benches share.
 //!
 //! Each figure/table of the paper maps to one binary in `src/bin/`:
 //!
@@ -11,10 +12,19 @@
 //! | `table1_equivalence` | Table 1 — conventional vs TrueNorth HoG operations |
 //! | `table2_power` | Table 2 — power comparison |
 //! | `corr_validate` | §3.1 — hardware/software ≥ 99.5 % correlation |
+//! | `ablation_study` | vote threshold, voting scheme, bin count and block-norm ablations |
+//! | `activity_power` | Table 2 refined with activity-based power (extension) |
+//! | `fault_sweep` | classification error vs injected hardware fault rate (extension) |
 //!
 //! Run them in release (`cargo run --release -p pcnn-bench --bin …`);
 //! passing `quick` as the first argument shrinks workloads for smoke
-//! testing.
+//! testing (`--smoke` for `fault_sweep`).
+//!
+//! The benches in `benches/` each record one `results/BENCH_*.json`
+//! file through [`harness`]: `kernel_gemm`, `truenorth_tick`,
+//! `video_streaming`, `cluster_scaling`, `cluster_chaos` and
+//! `trace_overhead`. `cargo bench -p pcnn-bench` re-records them all;
+//! `-- --check` compares a fresh run against the committed files.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,6 +36,8 @@ use pcnn_core::{
 use pcnn_hog::BlockNorm;
 use pcnn_parrot::{train_parrot, ParrotExtractor, ParrotNet, ParrotTrainConfig};
 use pcnn_vision::{DetectionCurve, SynthConfig, SynthDataset, SynthScene};
+
+pub mod harness;
 
 /// Workload sizing for the figure experiments.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,6 +93,17 @@ pub fn standard_dataset() -> SynthDataset {
 pub fn test_scenes(n: u64) -> Vec<SynthScene> {
     let ds = standard_dataset();
     (0..n).map(|i| ds.test_scene(i)).collect()
+}
+
+/// The small NApprox(fp) + SVM detector the serving benches share: 60
+/// positives, 120 negatives and one hard-negative mining round over one
+/// scene of the standard dataset.
+pub fn small_svm_detector() -> TrainedDetector {
+    PartitionedSystem::train_svm_detector(
+        Extractor::napprox_fp(BlockNorm::L2),
+        &standard_dataset(),
+        TrainSetConfig { n_pos: 60, n_neg: 120, mining_scenes: 1, mining_rounds: 1 },
+    )
 }
 
 /// Trains the parrot network used by the Parrot-paradigm experiments.
