@@ -1,8 +1,10 @@
 //! Kernel-vs-naive timing for the `pcnn-kernels` compute path.
 //!
 //! Times the blocked GEMM, the im2col+GEMM `Conv2d` forward (f32 and
-//! the multiply-free trinary inference path), and the SIMD-vs-scalar
-//! micro-kernel spread against the golden naive loops in
+//! the multiply-free trinary inference path), the trinary
+//! `GroupedLinear` inference of the Fig. 5 window classifier's first
+//! layer at one window and at a 64-window batch, and the
+//! SIMD-vs-scalar micro-kernel spread against the golden naive loops in
 //! `pcnn_eedn::reference` at Fig. 5 representative shapes, after
 //! checking that every timed output agrees bit-for-bit with its
 //! baseline. Records `results/BENCH_kernels.json` through
@@ -11,8 +13,8 @@
 //! committed value.
 
 use pcnn_bench::harness::{time_pair, Gate, Mode, Report};
-use pcnn_eedn::reference::{conv2d_forward, ConvSpec};
-use pcnn_eedn::{Conv2d, Layer, Scratch, Tensor};
+use pcnn_eedn::reference::{conv2d_forward, grouped_linear_forward, ConvSpec};
+use pcnn_eedn::{Conv2d, GroupedLinear, Layer, Scratch, Tensor};
 use pcnn_kernels::{gemm, gemm_with_backend, GemmScratch, SimdBackend};
 use serde::Serialize;
 use std::hint::black_box;
@@ -100,6 +102,42 @@ fn bench_conv(case: &str, spec: ConvSpec, side: usize, trinary: bool, reps: usiz
     // batch, in_ch, out_ch, h, w, k, stride, pad, groups
     let dims = vec![BATCH, in_ch, out_ch, side, side, k, stride, pad, groups];
     row(name, dims, backend, "naive", times)
+}
+
+/// The Fig. 5 window classifier's first layer (2304 inputs to 240
+/// outputs in 24 crossbar groups, trinary) inferring a `batch` of
+/// windows, against the reference loops.
+fn bench_linear(batch: usize, reps: usize) -> BenchResult {
+    let (in_dim, out_dim, groups) = (2304, 240, 24);
+    let layer = GroupedLinear::new(in_dim, out_dim, groups, true, 42);
+    let mut data = vec![0.0f32; batch * in_dim];
+    pseudo(&mut data, 11);
+    let input = Tensor::from_vec(&[batch, in_dim], data);
+    let w_eff = layer.effective_weights();
+    let (alpha, bias) = (layer.alpha().to_vec(), layer.bias().to_vec());
+    let spec = layer.spec();
+
+    // The agreement call also builds the layer's resident packed
+    // weights, so the timed calls only stream windows, as serving does.
+    let name = format!("fig5_classifier_l1_b{batch}_trinary");
+    let mut scratch = Scratch::default();
+    let kernel_out = layer.infer_with(&input, &mut scratch);
+    let (_, naive_out) = grouped_linear_forward(&spec, &w_eff, &alpha, &bias, &input);
+    assert_bits_eq(&name, kernel_out.data(), naive_out.data());
+
+    let times = time_pair(
+        reps,
+        || {
+            let w = black_box(&w_eff);
+            black_box(grouped_linear_forward(&spec, w, &alpha, &bias, black_box(&input)));
+        },
+        || {
+            black_box(layer.infer_with(black_box(&input), &mut scratch));
+        },
+    );
+    let backend = format!("trinary+{}", pcnn_kernels::backend_label());
+    // batch, in_dim, out_dim, groups
+    row(name, vec![batch, in_dim, out_dim, groups], backend, "naive", times)
 }
 
 /// One `m`×`k` by `k`×`n` GEMM into a zeroed `c` on `backend`.
@@ -203,6 +241,8 @@ fn main() {
         results.push(bench_conv(name, spec, side, false, reps));
         results.push(bench_conv(name, spec, side, true, reps));
     }
+    results.push(bench_linear(1, reps));
+    results.push(bench_linear(64, reps));
     // The raw GEMM behind the fig5 conv: (out_ch) x (in_ch*k*k) x (ho*wo).
     results.push(bench_raw_gemm([64, 288, 900], reps));
     results.push(bench_simd_vs_scalar([64, 288, 900], reps));

@@ -80,7 +80,10 @@ impl PartitionedSystem {
             .step_by(cell_stride)
             .flat_map(|cy0| (0..cols).step_by(cell_stride).map(move |cx0| (cx0, cy0)))
             .map(|(cx0, cy0)| {
-                Detector::assemble_window(extractor, cx0, cy0, |cx, cy| &grid[cy][cx])
+                let mut descriptor = Vec::new();
+                let cell = |cx: usize, cy: usize| grid[cy][cx].as_slice();
+                Detector::assemble_window(extractor, cx0, cy0, cell, &mut descriptor);
+                descriptor
             })
             .collect()
     }

@@ -13,7 +13,7 @@
 
 use crate::classifier::WindowClassifier;
 use crate::extractor::Extractor;
-use pcnn_hog::block::assemble_descriptor;
+use pcnn_hog::block::assemble_descriptor_into;
 use pcnn_hog::cell::{cell_patch, CELL_SIZE};
 use pcnn_vision::pyramid::{scale_pyramid, PyramidConfig};
 use pcnn_vision::{
@@ -102,21 +102,25 @@ impl Detector {
         }
     }
 
-    /// The descriptor of the window whose top-left cell is `(cx0, cy0)`,
-    /// assembled from its 8×16 cells as `cell(cx, cy)` returns them —
-    /// whatever layout the caller keeps its cell histograms in.
+    /// Appends to `out` the descriptor of the window whose top-left cell
+    /// is `(cx0, cy0)`, assembled from its 8×16 cells as `cell(cx, cy)`
+    /// returns them — whatever layout the caller keeps its cell
+    /// histograms in. Appending lets a caller lay a batch of windows
+    /// out row-major in one reused buffer.
     pub fn assemble_window<'a>(
         extractor: &Extractor,
         cx0: usize,
         cy0: usize,
         cell: impl Fn(usize, usize) -> &'a [f32],
-    ) -> Vec<f32> {
-        let window_cells_x = WINDOW_WIDTH / CELL_SIZE;
-        let window_cells_y = WINDOW_HEIGHT / CELL_SIZE;
-        let sub: Vec<Vec<Vec<f32>>> = (cy0..cy0 + window_cells_y)
-            .map(|cy| (cx0..cx0 + window_cells_x).map(|cx| cell(cx, cy).to_vec()).collect())
-            .collect();
-        assemble_descriptor(&sub, extractor.norm())
+        out: &mut Vec<f32>,
+    ) {
+        assemble_descriptor_into(
+            WINDOW_WIDTH / CELL_SIZE,
+            WINDOW_HEIGHT / CELL_SIZE,
+            |cx, cy| cell(cx0 + cx, cy0 + cy),
+            extractor.norm(),
+            out,
+        );
     }
 
     /// The raw (pre-NMS) detections of one pyramid level at `scale`,
@@ -153,12 +157,18 @@ impl Detector {
         for level in &pyramid.levels {
             let grid = Self::cell_grid(&detector.extractor, &level.image);
             let (rows, cols) = Self::window_grid(grid.first().map_or(0, Vec::len), grid.len());
+            let cell = |cx: usize, cy: usize| grid[cy][cx].as_slice();
+            let mut descriptor = Vec::new();
             let scores: Vec<f32> = (0..rows * cols)
                 .map(|w| {
-                    let descriptor =
-                        Self::assemble_window(&detector.extractor, w % cols, w / cols, |cx, cy| {
-                            &grid[cy][cx]
-                        });
+                    descriptor.clear();
+                    Self::assemble_window(
+                        &detector.extractor,
+                        w % cols,
+                        w / cols,
+                        cell,
+                        &mut descriptor,
+                    );
                     detector.classifier.score(&descriptor)
                 })
                 .collect();
@@ -187,6 +197,7 @@ impl Detector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcnn_hog::block::assemble_descriptor;
     use pcnn_hog::BlockNorm;
     use pcnn_svm::{train, FeatureScaler, TrainConfig};
     use pcnn_vision::{SynthConfig, SynthDataset};

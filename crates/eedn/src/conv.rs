@@ -16,16 +16,18 @@
 //! When the layer is trinary, [`Layer::infer_with`] routes through the
 //! multiply-free `gemm_trinary` over bitplane-packed weights instead of
 //! the f32 GEMM — bit-identical output (see `pcnn_kernels::trinary`),
-//! and `ops` instead of `flops` in traces. Training (`forward_with` /
-//! `backward_with`) stays on the f32 path, which needs the projected
-//! weights in float form anyway.
+//! and `ops` instead of `flops` in traces. The packed weights stay
+//! resident in the layer, one matrix per group, built on first
+//! inference and rebuilt after every weight change. Training
+//! (`forward_with` / `backward_with`) stays on the f32 path, which
+//! needs the projected weights in float form anyway.
 
 use crate::init::trinary_uniform;
 use crate::layer::Layer;
 use crate::optimizer::adam_update;
 use crate::reference::ConvSpec;
 use crate::tensor::Tensor;
-use crate::trinary::{clip_shadow, trinarize_into};
+use crate::trinary::{clip_shadow, trinarize_into, ResidentWeights};
 use pcnn_kernels::{
     col2im, gemm_abt, gemm_atb, gemm_prepacked, gemm_trinary, im2col, take_resized, take_zeroed,
     ConvGeom, Scratch,
@@ -57,6 +59,8 @@ pub struct Conv2d {
     steps: u64,
     cached_input: Option<Tensor>,
     cached_pre: Option<Tensor>,
+    /// The deployed weights packed for inference (trinary layers only).
+    packed: ResidentWeights,
 }
 
 impl Conv2d {
@@ -112,6 +116,7 @@ impl Conv2d {
             steps: 0,
             cached_input: None,
             cached_pre: None,
+            packed: ResidentWeights::default(),
         }
     }
 
@@ -207,6 +212,7 @@ impl Conv2d {
     pub fn debug_set_shadow_weights(&mut self, w: &[f32]) {
         assert_eq!(w.len(), self.w.len(), "weight count mismatch");
         self.w.copy_from_slice(w);
+        self.packed.invalidate();
     }
 
     /// Packing geometry for one group over an `(h, w)` input.
@@ -291,11 +297,11 @@ impl Conv2d {
         }
     }
 
-    /// The multiply-free inference path: weights bitplane-packed once
-    /// per group, each sample's column matrix consumed by
-    /// `gemm_trinary`. Bit-identical to [`Self::apply_with`] on a
-    /// trinary layer (the ascending-column bit walk reproduces the
-    /// im2col row order the f32 GEMM accumulates in).
+    /// The multiply-free inference path: each sample's column matrix
+    /// consumed by `gemm_trinary` against the group's resident packed
+    /// weights. Bit-identical to [`Self::apply_with`] on a trinary
+    /// layer (the ascending-column bit walk reproduces the im2col row
+    /// order the f32 GEMM accumulates in).
     fn infer_trinary_with(&self, input: &Tensor, s: &mut Scratch) -> Tensor {
         assert!(self.trinary, "trinary path on a float layer");
         assert_eq!(input.shape().len(), 4, "Conv2d takes (batch, channels, h, w)");
@@ -308,20 +314,17 @@ impl Conv2d {
         let geom = self.geom(h, w);
         let krows = icg * self.k * self.k;
         let cols = ho * wo;
+        let packed = self.packed.get(&self.w, self.groups, ocg, krows);
         let mut pre = Tensor::zeros(&[batch, self.out_ch, ho, wo]);
-        let Scratch { col, wbuf, wtri, .. } = s;
-        // Both scratch targets are fully overwritten (trinarize_into
-        // and im2col write every element), so plain resizes avoid two
-        // wasted zeroing passes per call.
-        let wb = take_resized(wbuf, self.w.len());
-        trinarize_into(&self.w, wb);
-        for g in 0..self.groups {
-            wtri.pack(&wb[g * ocg * krows..][..ocg * krows], krows, ocg, krows);
+        // im2col writes every element of its target, so a plain resize
+        // avoids a wasted zeroing pass per call.
+        let Scratch { col, .. } = s;
+        for (g, wg) in packed.iter().enumerate() {
             for n in 0..batch {
                 im2col(&geom, input.channels(n, g * icg, icg), take_resized(col, krows * cols));
                 let cslice =
                     &mut pre.data_mut()[(n * self.out_ch + g * ocg) * cols..][..ocg * cols];
-                gemm_trinary(wtri, cols, col, cols, cslice, cols);
+                gemm_trinary(wg, cols, col, cols, cslice, cols);
             }
         }
         self.scale_pre_in_place(&mut pre, batch, cols);
@@ -436,6 +439,7 @@ impl Layer for Conv2d {
                 *w = clip_shadow(*w);
             }
         }
+        self.packed.invalidate();
         adam_update(
             &mut self.alpha,
             &mut self.galpha,

@@ -21,17 +21,20 @@
 //!
 //! When the layer is trinary, [`Layer::infer_with`] routes through the
 //! multiply-free `gemm_trinary`: the group's input block is transposed
-//! into scratch (`in_g × batch`), multiplied against the bitplane-packed
-//! weights, and transposed back — each output element still accumulates
-//! its inputs in ascending order, so the result is bit-identical to the
-//! f32 path. Training stays on the f32 GEMMs.
+//! into scratch (`in_g × batch`), multiplied against the group's
+//! bitplane-packed weights, and transposed back — each output element
+//! still accumulates its inputs in ascending order, so the result is
+//! bit-identical to the f32 path. The packed weights stay resident in
+//! the layer (built on first inference, rebuilt after every weight
+//! change), so a call only streams its batch through them. Training
+//! stays on the f32 GEMMs.
 
 use crate::init::trinary_uniform;
 use crate::layer::Layer;
 use crate::optimizer::adam_update;
 use crate::reference::LinearSpec;
 use crate::tensor::Tensor;
-use crate::trinary::{clip_shadow, trinarize, trinarize_into};
+use crate::trinary::{clip_shadow, trinarize, trinarize_into, ResidentWeights};
 use pcnn_kernels::{gemm, gemm_abt, gemm_atb, gemm_trinary, take_resized, take_zeroed, Scratch};
 use serde::{Deserialize, Serialize};
 
@@ -62,6 +65,9 @@ pub struct GroupedLinear {
     cached_input: Option<Tensor>,
     #[serde(skip)]
     cached_pre_scale: Option<Tensor>,
+    /// The deployed weights packed for inference (trinary layers only).
+    #[serde(skip)]
+    packed: ResidentWeights,
 }
 
 impl GroupedLinear {
@@ -104,6 +110,7 @@ impl GroupedLinear {
             steps: 0,
             cached_input: None,
             cached_pre_scale: None,
+            packed: ResidentWeights::default(),
         }
     }
 
@@ -200,6 +207,7 @@ impl GroupedLinear {
     pub fn debug_set_shadow_weights(&mut self, w: &[f32]) {
         assert_eq!(w.len(), self.w.len(), "weight count mismatch");
         self.w.copy_from_slice(w);
+        self.packed.invalidate();
     }
 
     /// The pure forward computation: `(pre-scale, output)`.
@@ -255,23 +263,21 @@ impl GroupedLinear {
 
     /// The multiply-free inference path. `pre_gᵀ [out_g × batch] =
     /// W⟨tri⟩_g · X_gᵀ [in_g × batch]`: each output element is one
-    /// ascending-input bit walk over the packed weight row, the same
-    /// accumulation order as the f32 `gemm_abt` — so bit-identical.
+    /// ascending-input bit walk over the resident packed weight row, the
+    /// same accumulation order as the f32 `gemm_abt` — so bit-identical.
     fn infer_trinary_with(&self, input: &Tensor, s: &mut Scratch) -> Tensor {
         assert!(self.trinary, "trinary path on a float layer");
         assert_eq!(input.shape().len(), 2, "GroupedLinear takes (batch, features)");
         assert_eq!(input.shape()[1], self.in_dim, "input dim mismatch");
         let batch = input.shape()[0];
         let (in_g, out_g) = (self.in_dim / self.groups, self.out_dim / self.groups);
+        let packed = self.packed.get(&self.w, self.groups, out_g, in_g);
         let mut pre = Tensor::zeros(&[batch, self.out_dim]);
-        let Scratch { wbuf, wtri, bt, ct, .. } = s;
-        // trinarize_into and the transpose pack overwrite every
-        // element of their targets, so plain resizes avoid wasted
-        // zeroing passes; `ct` stays zeroed — the GEMM accumulates.
-        let wb = take_resized(wbuf, self.w.len());
-        trinarize_into(&self.w, wb);
-        for g in 0..self.groups {
-            wtri.pack(&wb[g * out_g * in_g..][..out_g * in_g], in_g, out_g, in_g);
+        let Scratch { bt, ct, .. } = s;
+        // The transpose pack overwrites every element of its target, so
+        // a plain resize avoids a wasted zeroing pass; `ct` stays zeroed
+        // — the GEMM accumulates.
+        for (g, wg) in packed.iter().enumerate() {
             let btb = take_resized(bt, in_g * batch);
             for n in 0..batch {
                 for (i, row) in btb.chunks_exact_mut(batch).enumerate() {
@@ -279,7 +285,7 @@ impl GroupedLinear {
                 }
             }
             let ctb = take_zeroed(ct, out_g * batch);
-            gemm_trinary(wtri, batch, btb, batch, ctb, batch);
+            gemm_trinary(wg, batch, btb, batch, ctb, batch);
             for n in 0..batch {
                 let prow = &mut pre.data_mut()[n * self.out_dim + g * out_g..][..out_g];
                 for (ol, pv) in prow.iter_mut().enumerate() {
@@ -384,6 +390,7 @@ impl Layer for GroupedLinear {
                 *w = clip_shadow(*w);
             }
         }
+        self.packed.invalidate();
         adam_update(
             &mut self.alpha,
             &mut self.galpha,

@@ -82,12 +82,14 @@ impl Sequential {
     /// [`infer`](Sequential::infer).
     pub fn infer_with(&self, input: &Tensor, scratch: &mut Scratch) -> Tensor {
         let pass = pcnn_trace::span(pcnn_trace::stages::EEDN_INFER);
-        let mut x = input.clone();
+        // The first layer reads the caller's tensor; only an empty
+        // network copies it.
+        let mut x: Option<Tensor> = None;
         for layer in &self.layers {
             let _layer_span = pass.is_recording().then(|| pcnn_trace::span(layer.span_label()));
-            x = layer.infer_with(&x, scratch);
+            x = Some(layer.infer_with(x.as_ref().unwrap_or(input), scratch));
         }
-        x
+        x.unwrap_or_else(|| input.clone())
     }
 
     /// Runs inference.

@@ -6,8 +6,14 @@
 //! shadows in `(-0.5, 0.5)` deploy as 0, otherwise as ±1. Shadows are
 //! clipped to `[-1, 1]` after every update so the projection stays
 //! responsive to gradient pressure in both directions.
+//!
+//! A trinary layer keeps its deployed weights resident, bitplane-packed
+//! once per group, the way the paper's classifier is programmed into
+//! crossbars once and then streams every window through them.
 
+use pcnn_kernels::TrinaryMatrix;
 pub use pcnn_kernels::TrinaryStats;
+use std::sync::OnceLock;
 
 /// Shadow-weight clipping bound.
 pub const SHADOW_CLIP: f32 = 1.0;
@@ -78,6 +84,51 @@ pub fn stats(shadows: &[f32]) -> TrinaryStats {
 /// [`TrinaryStats::density`] on an empty buffer.
 pub fn density(shadows: &[f32]) -> f32 {
     stats(shadows).density()
+}
+
+/// The deployed weights of a trinary grouped layer, one packed
+/// [`TrinaryMatrix`] per group, kept in the layer for its inference
+/// path.
+///
+/// Built from the shadow weights on the first inference after
+/// construction, deserialization or [`invalidate`](Self::invalidate),
+/// then shared by every later call (and by every thread, since layers
+/// infer through `&self`). Layers invalidate it whenever their shadow
+/// weights change. Not persisted: a restored layer repacks on first
+/// use, so snapshots carry the shadows only.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct ResidentWeights(OnceLock<Vec<TrinaryMatrix>>);
+
+impl ResidentWeights {
+    /// The packed deployment of `shadows`, whose `groups` contiguous
+    /// row-major blocks are each a `rows × cols` weight matrix.
+    pub(crate) fn get(
+        &self,
+        shadows: &[f32],
+        groups: usize,
+        rows: usize,
+        cols: usize,
+    ) -> &[TrinaryMatrix] {
+        self.0.get_or_init(|| {
+            assert_eq!(shadows.len(), groups * rows * cols, "weight count mismatch");
+            let mut deployed = vec![0.0f32; shadows.len()];
+            trinarize_into(shadows, &mut deployed);
+            deployed
+                .chunks_exact(rows * cols)
+                .map(|w| {
+                    let mut packed = TrinaryMatrix::default();
+                    packed.pack(w, cols, rows, cols);
+                    packed
+                })
+                .collect()
+        })
+    }
+
+    /// Drops the packed weights after a shadow-weight change; the next
+    /// [`get`](Self::get) rebuilds them.
+    pub(crate) fn invalidate(&mut self) {
+        self.0.take();
+    }
 }
 
 #[cfg(test)]

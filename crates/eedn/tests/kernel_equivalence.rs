@@ -301,3 +301,87 @@ fn repeated_backward_accumulates_like_reference() {
     assert_bits_eq(ga, &gref.galpha, "accumulated galpha");
     assert_bits_eq(gb, &gref.gbias, "accumulated gbias");
 }
+
+/// One training update with a learning rate large enough that many
+/// shadows cross the dead-zone edge, so the deployed weights change.
+fn train_once(layer: &mut dyn Layer, input: &Tensor, rng: &mut SmallRng) {
+    let out = layer.forward(input, true);
+    let go = rand_tensor(rng, out.shape());
+    layer.backward(&go);
+    layer.step(0.5, 0.9);
+}
+
+/// The resident packed weights follow every weight change: after a
+/// training step and after `debug_set_shadow_weights`, a layer that has
+/// already inferred (and so holds packed weights) infers exactly what
+/// the reference computes from its new weights.
+#[test]
+fn resident_weights_follow_weight_updates() {
+    let mut rng = SmallRng::seed_from_u64(0x05e5_1de7);
+
+    let mut linear = GroupedLinear::new(12, 8, 2, true, 5000);
+    let x = rand_tensor(&mut rng, &[3, 12]);
+    let linear_ref = |l: &GroupedLinear, x: &Tensor| {
+        grouped_linear_forward(&l.spec(), &l.effective_weights(), l.alpha(), l.bias(), x).1
+    };
+    assert_bits_eq(linear.infer(&x).data(), linear_ref(&linear, &x).data(), "linear: first");
+    let before = linear.effective_weights();
+    train_once(&mut linear, &x, &mut rng);
+    assert_ne!(linear.effective_weights(), before, "the step must move deployed weights");
+    assert_bits_eq(linear.infer(&x).data(), linear_ref(&linear, &x).data(), "linear: step");
+    let n_w = before.len();
+    linear.debug_set_shadow_weights(&shadows_at_density(n_w, 0.5));
+    assert_bits_eq(linear.infer(&x).data(), linear_ref(&linear, &x).data(), "linear: set");
+
+    let mut conv = Conv2d::new(4, 6, 3, 1, 1, 2, true, 5001);
+    let x = rand_tensor(&mut rng, &[2, 4, 6, 5]);
+    let conv_ref = |c: &Conv2d, x: &Tensor| {
+        conv2d_forward(&c.spec(), &c.effective_weights(), c.alpha(), c.bias(), x).1
+    };
+    assert_bits_eq(conv.infer(&x).data(), conv_ref(&conv, &x).data(), "conv: first");
+    let before = conv.effective_weights();
+    train_once(&mut conv, &x, &mut rng);
+    assert_ne!(conv.effective_weights(), before, "the step must move deployed weights");
+    assert_bits_eq(conv.infer(&x).data(), conv_ref(&conv, &x).data(), "conv: step");
+    conv.debug_set_shadow_weights(&shadows_at_density(before.len(), 1.0));
+    assert_bits_eq(conv.infer(&x).data(), conv_ref(&conv, &x).data(), "conv: set");
+}
+
+/// A layer that already holds packed weights clones and round-trips
+/// through serde to a layer that infers the same bits — and the packed
+/// weights never reach the serialized form.
+#[test]
+fn clone_and_serde_of_an_inferred_layer_infer_identically() {
+    let mut rng = SmallRng::seed_from_u64(0x00c1_04e0);
+    let linear = GroupedLinear::new(12, 8, 2, true, 6000);
+    let x = rand_tensor(&mut rng, &[4, 12]);
+    let fresh = serde_json::to_string(&linear).unwrap();
+    let want = linear.infer(&x);
+    let bytes = serde_json::to_string(&linear).unwrap();
+    assert_eq!(bytes, fresh, "inference must not change the serialized layer");
+    let restored: GroupedLinear = serde_json::from_str(&bytes).unwrap();
+    assert_bits_eq(restored.infer(&x).data(), want.data(), "linear: serde round trip");
+    assert_bits_eq(linear.clone().infer(&x).data(), want.data(), "linear: clone");
+
+    let conv = Conv2d::new(4, 4, 3, 1, 1, 2, true, 6001);
+    let x = rand_tensor(&mut rng, &[2, 4, 5, 5]);
+    let want = conv.infer(&x);
+    assert_bits_eq(conv.clone().infer(&x).data(), want.data(), "conv: clone");
+}
+
+/// Trinary `GroupedLinear::infer` against the reference at batch sizes
+/// that hit each column path of the trinary kernel: scalar tails, the
+/// 8-wide loop, the full 64-column register tile and the 256-column
+/// cache tile. The 130-input groups also span three bitplane words.
+#[test]
+fn trinary_linear_matches_reference_across_batch_sizes() {
+    let mut rng = SmallRng::seed_from_u64(0x0ba7_c4e5);
+    let layer = GroupedLinear::new(260, 12, 2, true, 7000);
+    let w_eff = layer.effective_weights();
+    for batch in [1usize, 7, 8, 9, 63, 64, 65, 257] {
+        let x = rand_tensor(&mut rng, &[batch, 260]);
+        let (_, want) =
+            grouped_linear_forward(&layer.spec(), &w_eff, layer.alpha(), layer.bias(), &x);
+        assert_bits_eq(layer.infer(&x).data(), want.data(), &format!("batch {batch}"));
+    }
+}

@@ -74,7 +74,6 @@ fn l2(v: &mut [f32]) {
 /// Panics if the grid is empty or ragged.
 pub fn assemble_descriptor(grid: &[Vec<Vec<f32>>], norm: BlockNorm) -> Vec<f32> {
     assert!(!grid.is_empty() && !grid[0].is_empty(), "empty cell grid");
-    let cells_y = grid.len();
     let cells_x = grid[0].len();
     let bins = grid[0][0].len();
     for row in grid {
@@ -83,38 +82,55 @@ pub fn assemble_descriptor(grid: &[Vec<Vec<f32>>], norm: BlockNorm) -> Vec<f32> 
             assert_eq!(h.len(), bins, "ragged histogram");
         }
     }
-    match norm {
-        BlockNorm::None => {
-            let mut out = Vec::with_capacity(cells_x * cells_y * bins);
-            for row in grid {
-                for h in row {
-                    out.extend_from_slice(h);
-                }
+    let mut out = Vec::new();
+    assemble_descriptor_into(cells_x, grid.len(), |cx, cy| &grid[cy][cx], norm, &mut out);
+    out
+}
+
+/// [`assemble_descriptor`] over a `cells_x × cells_y` window whose cell
+/// `(cx, cy)` histogram `cell` returns, appending the descriptor to
+/// `out` — so a caller can assemble many windows into one reused buffer
+/// straight from its own cell layout, without copying cells into a grid.
+/// Each block is normalized in place where it lands in `out`, with the
+/// same arithmetic as [`assemble_descriptor`], so the values are
+/// bit-identical.
+///
+/// `cell` must return histograms of one length.
+///
+/// # Panics
+///
+/// Panics if the window is empty, or smaller than one block when `norm`
+/// normalizes blocks.
+pub fn assemble_descriptor_into<'a>(
+    cells_x: usize,
+    cells_y: usize,
+    cell: impl Fn(usize, usize) -> &'a [f32],
+    norm: BlockNorm,
+    out: &mut Vec<f32>,
+) {
+    assert!(cells_x > 0 && cells_y > 0, "empty cell grid");
+    assert!(
+        norm == BlockNorm::None || (cells_x >= BLOCK_CELLS && cells_y >= BLOCK_CELLS),
+        "window too small for {BLOCK_CELLS}x{BLOCK_CELLS} blocks"
+    );
+    out.reserve(descriptor_len(cells_x, cells_y, cell(0, 0).len(), norm));
+    if norm == BlockNorm::None {
+        for cy in 0..cells_y {
+            for cx in 0..cells_x {
+                out.extend_from_slice(cell(cx, cy));
             }
-            out
         }
-        _ => {
-            assert!(
-                cells_x >= BLOCK_CELLS && cells_y >= BLOCK_CELLS,
-                "window too small for {BLOCK_CELLS}x{BLOCK_CELLS} blocks"
-            );
-            let blocks_x = cells_x - BLOCK_CELLS + 1;
-            let blocks_y = cells_y - BLOCK_CELLS + 1;
-            let mut out =
-                Vec::with_capacity(blocks_x * blocks_y * BLOCK_CELLS * BLOCK_CELLS * bins);
-            for by in 0..blocks_y {
-                for bx in 0..blocks_x {
-                    let mut block = Vec::with_capacity(BLOCK_CELLS * BLOCK_CELLS * bins);
-                    for dy in 0..BLOCK_CELLS {
-                        for dx in 0..BLOCK_CELLS {
-                            block.extend_from_slice(&grid[by + dy][bx + dx]);
-                        }
-                    }
-                    norm.apply(&mut block);
-                    out.extend_from_slice(&block);
+        return;
+    }
+    for by in 0..=cells_y - BLOCK_CELLS {
+        for bx in 0..=cells_x - BLOCK_CELLS {
+            let start = out.len();
+            for dy in 0..BLOCK_CELLS {
+                for dx in 0..BLOCK_CELLS {
+                    out.extend_from_slice(cell(bx + dx, by + dy));
                 }
             }
-            out
+            norm.apply(&mut out[start..]);
         }
     }
 }
@@ -208,6 +224,19 @@ mod tests {
         let g = grid(2, 2, 2);
         let d = assemble_descriptor(&g, BlockNorm::None);
         assert_eq!(d, vec![0.0, 1.0, 1.0, 2.0, 1.0, 2.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn into_appends_the_same_bits() {
+        let g = grid(8, 16, 9);
+        for norm in [BlockNorm::None, BlockNorm::L2, BlockNorm::L1, BlockNorm::L2Hys] {
+            let mut out = vec![7.0];
+            assemble_descriptor_into(8, 16, |cx, cy| &g[cy][cx], norm, &mut out);
+            let want = assemble_descriptor(&g, norm);
+            assert_eq!(out[0], 7.0, "{norm:?}: earlier contents are kept");
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out[1..]), bits(&want), "{norm:?}");
+        }
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Reusable scratch buffers threaded through the eedn compute layer.
 
 use crate::gemm::{GemmScratch, PackedA};
-use crate::trinary::TrinaryMatrix;
 
 /// All per-call temporaries the GEMM-backed layers need, grouped so a
 /// network can allocate once and reuse across every layer and step.
@@ -21,16 +20,15 @@ pub struct Scratch {
     pub wbuf: Vec<f32>,
     /// Upstream gradient scaled by `alpha`, in GEMM layout.
     pub dbuf: Vec<f32>,
-    /// Weight matrix packed once per call and reused across the batch.
+    /// f32 weight matrix packed once per call and reused across the
+    /// batch (training and float layers; trinary inference reads the
+    /// packed weights each layer keeps resident instead).
     pub wpack: PackedA,
-    /// Trinary weight bitplanes packed once per call on the inference
-    /// path and reused across the batch.
-    pub wtri: TrinaryMatrix,
     /// Transposed input block (`in × batch`) for the trinary linear
-    /// path.
+    /// inference path.
     pub bt: Vec<f32>,
     /// Transposed output block (`out × batch`) for the trinary linear
-    /// path.
+    /// inference path.
     pub ct: Vec<f32>,
 }
 

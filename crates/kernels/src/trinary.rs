@@ -68,8 +68,9 @@ impl TrinaryStats {
 /// Bit `j % 64` of word `row * words_per_row + j / 64` in `plus`
 /// (resp. `minus`) is set when element `(row, j)` is `+1.0` (resp.
 /// `-1.0`); zeros set neither. Built once per deployed weight matrix
-/// and reused across every inference call (see
-/// [`Scratch`](crate::Scratch)).
+/// and reused across every inference call: the trinary `GroupedLinear`
+/// and `Conv2d` layers in `pcnn_eedn` each keep one per group
+/// resident, repacked only after their weights change.
 #[derive(Debug, Default, Clone)]
 pub struct TrinaryMatrix {
     plus: Vec<u64>,

@@ -10,7 +10,9 @@
 //! 3. **cells** — one work item per (frame, pyramid level), hashing the
 //!    level's cells and extracting only the changed ones;
 //! 4. **classify** — one work item per window-row chunk, scoring only
-//!    the stale windows;
+//!    the stale windows, in batches of the classifier's
+//!    [`batch_len`](pcnn_core::WindowClassifier::batch_len) assembled
+//!    into one reused descriptor buffer;
 //! 5. **nms** — one work item per frame, rebuilding the raw detections
 //!    from the cached window scores in serial scan order (level, row,
 //!    column) and suppressing them, exactly as [`Detector::detect`]
@@ -431,14 +433,26 @@ impl<'d> DetectionServer<'d> {
             let (g, windows) = chunk_windows(&chunks[i]);
             let (lc, cols): (&LevelCache, usize) = (levels[g], dims[g].1);
             let cell = |cx: usize, cy: usize| lc.histograms[cy * lc.cells_x + cx].as_slice();
-            windows
-                .iter()
-                .map(|&w| {
-                    let descriptor =
-                        Detector::assemble_window(&detector.extractor, w % cols, w / cols, cell);
-                    detector.classifier.score(&descriptor)
-                })
-                .collect::<Vec<f32>>()
+            // The stale windows' descriptors go row-major into one buffer
+            // reused across the item, one classifier-sized batch at a time.
+            let batch = detector.classifier.batch_len();
+            let mut scores = vec![0.0; windows.len()];
+            let mut descriptors = Vec::new();
+            for (ws, out) in windows.chunks(batch).zip(scores.chunks_mut(batch)) {
+                descriptors.clear();
+                for &w in ws {
+                    let (cx0, cy0) = (w % cols, w / cols);
+                    Detector::assemble_window(
+                        &detector.extractor,
+                        cx0,
+                        cy0,
+                        cell,
+                        &mut descriptors,
+                    );
+                }
+                detector.classifier.score_batch(&descriptors, out);
+            }
+            scores
         });
         let mut windows_scored = 0u64;
         for (chunk, r) in chunks.iter().zip(scored) {

@@ -2,8 +2,9 @@
 //! bit-identical to the serial detection path, and queue backpressure
 //! must reject cleanly without deadlocking.
 
+use pcnn_core::cotrain::{PartitionedSystem, TrainSetConfig};
 use pcnn_core::pipeline::{Detector, TrainedDetector};
-use pcnn_core::{Extractor, WindowClassifier};
+use pcnn_core::{EednClassifierConfig, Extractor, WindowClassifier};
 use pcnn_hog::BlockNorm;
 use pcnn_runtime::{
     Backpressure, DetectionServer, PushError, QueueConfig, RequestQueue, RuntimeConfig,
@@ -28,6 +29,17 @@ fn small_detector() -> TrainedDetector {
     TrainedDetector { extractor, classifier: WindowClassifier::Svm { model, scaler } }
 }
 
+/// A tiny Eedn-classified detector on the Fig. 5 features, so the
+/// classify stage scores its windows in batches.
+fn small_eedn_detector() -> TrainedDetector {
+    PartitionedSystem::train_eedn_detector(
+        Extractor::napprox_fp(BlockNorm::None),
+        &SynthDataset::new(SynthConfig::default()),
+        TrainSetConfig { n_pos: 8, n_neg: 8, mining_scenes: 0, mining_rounds: 0 },
+        EednClassifierConfig { hidden1: 24, hidden2: 12, epochs: 2, ..Default::default() },
+    )
+}
+
 /// A runtime configuration via the validating builder.
 fn config_with_workers(workers: usize) -> RuntimeConfig {
     RuntimeConfig::builder().workers(workers).build().expect("valid config")
@@ -35,24 +47,29 @@ fn config_with_workers(workers: usize) -> RuntimeConfig {
 
 #[test]
 fn parallel_detection_is_bit_identical_to_serial() {
-    let detector = small_detector();
     let engine = Detector::default();
-    let serial_server =
-        DetectionServer::new(Detector::default(), &detector, config_with_workers(1)).unwrap();
-    let parallel_server =
-        DetectionServer::new(Detector::default(), &detector, config_with_workers(4)).unwrap();
-    // Three differently-seeded scenes; each must produce the same
-    // detections — same order, scores bit-equal — under the serial
-    // engine, a one-worker pool and a four-worker pool.
-    for seed in [11u64, 42, 1234] {
-        let scene = SynthDataset::new(SynthConfig { seed, ..SynthConfig::default() }).test_scene(0);
-        let serial = engine.detect(&detector, &scene.image);
-        let one = serial_server.detect_frame(&scene.image);
-        let four = parallel_server.detect_frame(&scene.image);
-        assert_eq!(serial, one, "seed {seed}: workers=1 diverges from serial detect");
-        assert_eq!(serial, four, "seed {seed}: workers=4 diverges from serial detect");
-        for (a, b) in one.iter().zip(&four) {
-            assert_eq!(a.score.to_bits(), b.score.to_bits(), "seed {seed}: score bits differ");
+    for detector in [small_detector(), small_eedn_detector()] {
+        let label = detector.classifier.label();
+        let serial_server =
+            DetectionServer::new(Detector::default(), &detector, config_with_workers(1)).unwrap();
+        let parallel_server =
+            DetectionServer::new(Detector::default(), &detector, config_with_workers(4)).unwrap();
+        // Three differently-seeded scenes; each must produce the same
+        // detections — same order, scores bit-equal — under the serial
+        // engine, a one-worker pool and a four-worker pool.
+        for seed in [11u64, 42, 1234] {
+            let scene =
+                SynthDataset::new(SynthConfig { seed, ..SynthConfig::default() }).test_scene(0);
+            let serial = engine.detect(&detector, &scene.image);
+            assert!(!serial.is_empty(), "{label} seed {seed}: nothing to compare");
+            let one = serial_server.detect_frame(&scene.image);
+            let four = parallel_server.detect_frame(&scene.image);
+            assert_eq!(serial, one, "{label} seed {seed}: workers=1 diverges from serial detect");
+            assert_eq!(serial, four, "{label} seed {seed}: workers=4 diverges from serial detect");
+            for ((s, a), b) in serial.iter().zip(&one).zip(&four) {
+                assert_eq!(s.score.to_bits(), a.score.to_bits(), "{label} seed {seed}: workers=1");
+                assert_eq!(s.score.to_bits(), b.score.to_bits(), "{label} seed {seed}: workers=4");
+            }
         }
     }
 }
