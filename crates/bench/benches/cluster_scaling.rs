@@ -10,7 +10,7 @@
 
 use pcnn_bench::harness::{Mode, Report};
 use pcnn_cluster::{arrivals, run_slo, Cluster, ClusterConfig, LoadProfile, SloBudget};
-use pcnn_runtime::{Backpressure, RuntimeConfig};
+use pcnn_runtime::Backpressure;
 use pcnn_vision::GrayImage;
 use serde::Serialize;
 use std::time::Instant;
@@ -54,16 +54,13 @@ fn main() {
 
     let mut results = Vec::new();
     for shards in [1u32, 2, 4] {
-        let config = ClusterConfig {
-            shards,
-            router_seed: 7,
-            runtime: RuntimeConfig::builder()
-                .workers(workers)
-                .backpressure(Backpressure::Block)
-                .build()
-                .expect("valid runtime config"),
-            ..ClusterConfig::default()
-        };
+        let config = ClusterConfig::builder()
+            .shards(shards)
+            .router_seed(7)
+            .workers(workers)
+            .backpressure(Backpressure::Block)
+            .build()
+            .expect("valid cluster config");
         let cluster = Cluster::new(&snapshot, config).expect("valid cluster config");
         let slo = run_slo(&cluster, &schedule, budget, |a| {
             scenes[(a.stream % scenes.len() as u64) as usize].clone()

@@ -10,8 +10,8 @@ use pcnn_core::pipeline::{DetectorConfig, TrainedDetector};
 use pcnn_core::{DetectorSnapshot, Error, Result, StreamId};
 use pcnn_runtime::StreamFrameResult;
 use pcnn_runtime::{
-    Backpressure, Metrics, PushError, QueueConfig, RequestQueue, RetryPolicy, RuntimeConfig,
-    Watchdog, WatchdogStatus,
+    Backpressure, Heartbeat, Metrics, PushError, QueueConfig, RequestQueue, RetryPolicy,
+    RuntimeConfig, Watchdog, WatchdogStatus,
 };
 use pcnn_store::CheckpointDir;
 use pcnn_vision::{Detection, GrayImage};
@@ -96,9 +96,12 @@ pub struct ClusterConfig {
     /// Salt for the stream router. Same seed + same shard count ⇒ the
     /// same stream-to-shard assignment in every process.
     pub router_seed: u64,
-    /// Per-shard serving-runtime parameters (worker pool, chunking,
-    /// request queue). Every shard gets its own queue and pool.
+    /// Per-shard serving-runtime parameters (worker pool, chunking).
+    /// Every shard gets its own pool.
     pub runtime: RuntimeConfig,
+    /// Per-shard request queue: capacity, frames drained per batch and
+    /// full-queue behaviour. Every shard lane gets its own queue.
+    pub queue: QueueConfig,
     /// Per-shard cap on cached temporal stream states (cell/window
     /// caches plus trackers). The least recently served stream is
     /// evicted when a shard exceeds it; eviction costs only warmth.
@@ -119,6 +122,7 @@ impl Default for ClusterConfig {
             shards: 4,
             router_seed: 0,
             runtime: RuntimeConfig::default(),
+            queue: QueueConfig::default(),
             stream_cache_capacity: 64,
             swap: SwapPolicy::Rolling,
             supervision: SupervisionConfig::default(),
@@ -127,15 +131,15 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// A validating builder over the cluster and per-shard runtime
-    /// parameters, mirroring [`RuntimeConfig::builder`].
+    /// A validating builder over the cluster, per-shard runtime and
+    /// per-shard queue parameters, mirroring [`RuntimeConfig::builder`].
     pub fn builder() -> ClusterConfigBuilder {
         ClusterConfigBuilder { config: ClusterConfig::default() }
     }
 
-    /// Validates the shard count, the stream-cache capacity and the
-    /// per-shard runtime parameters (through the same builder
-    /// validation a single server uses).
+    /// Validates the shard count, the stream-cache capacity, the
+    /// supervision parameters, the per-shard runtime parameters (the
+    /// same validation a single server uses) and the per-shard queue.
     pub fn validate(&self) -> Result<()> {
         if self.shards == 0 {
             return Err(Error::InvalidConfig {
@@ -161,14 +165,8 @@ impl ClusterConfig {
                 reason: "a zero stall threshold condemns every in-flight frame".to_owned(),
             });
         }
-        RuntimeConfig::builder()
-            .workers(self.runtime.workers)
-            .chunk_rows(self.runtime.chunk_rows)
-            .queue_capacity(self.runtime.queue.capacity)
-            .batch_size(self.runtime.queue.batch_size)
-            .backpressure(self.runtime.queue.backpressure)
-            .build()?;
-        Ok(())
+        self.runtime.validate()?;
+        self.queue.validate()
     }
 }
 
@@ -211,21 +209,21 @@ impl ClusterConfigBuilder {
     /// Request-queue depth per shard.
     #[must_use]
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.config.runtime.queue.capacity = capacity;
+        self.config.queue.capacity = capacity;
         self
     }
 
     /// Frames drained per batch on each shard.
     #[must_use]
     pub fn batch_size(mut self, size: usize) -> Self {
-        self.config.runtime.queue.batch_size = size;
+        self.config.queue.batch_size = size;
         self
     }
 
     /// Full-queue behaviour on each shard.
     #[must_use]
     pub fn backpressure(mut self, policy: Backpressure) -> Self {
-        self.config.runtime.queue.backpressure = policy;
+        self.config.queue.backpressure = policy;
         self
     }
 
@@ -337,7 +335,7 @@ impl<R> StreamOutcome<R> {
 #[derive(Debug)]
 pub(crate) struct Lane {
     queue: RequestQueue<usize>,
-    heartbeat: Metrics,
+    heartbeat: Heartbeat,
     /// Set by the supervisor when the watchdog declares the lane
     /// stalled; the drainer checks it before serving each frame or
     /// batch (and between chaos-stall sleep slices) and exits without
@@ -357,7 +355,7 @@ impl Lane {
     fn new(config: QueueConfig) -> Self {
         Lane {
             queue: RequestQueue::new(config),
-            heartbeat: Metrics::new(),
+            heartbeat: Heartbeat::new(),
             condemned: AtomicBool::new(false),
             dead: AtomicBool::new(false),
             current: Mutex::new(VecDeque::new()),
@@ -861,9 +859,10 @@ impl Cluster {
     /// # Panics
     ///
     /// Re-raises the first failed frame's error (such as
-    /// [`Error::WorkerPanic`]) as a panic, like
-    /// [`DetectionServer::serve`](pcnn_runtime::DetectionServer::serve),
-    /// once every frame has an outcome and the shard lanes are closed.
+    /// [`Error::WorkerPanic`]) as a panic, once every frame has an
+    /// outcome and the shard lanes are closed. Use
+    /// [`detect`](Cluster::detect) when a failed frame must not take the
+    /// caller down.
     pub fn serve(&self, frames: &[StreamFrame]) -> Vec<Option<Vec<Detection>>> {
         let mut failure = None;
         let detections = self
@@ -919,7 +918,7 @@ impl Cluster {
                 scope,
                 call: &call,
                 lanes: (0..self.shards.len())
-                    .map(|_| Arc::new(Lane::new(self.config.runtime.queue)))
+                    .map(|_| Arc::new(Lane::new(self.config.queue)))
                     .collect(),
                 down: vec![false; self.shards.len()],
                 tier_down: false,
@@ -1115,7 +1114,7 @@ impl<R: Drain> ServeLoop<'_, '_, R> {
                 let respawn_span = pcnn_trace::span(pcnn_trace::stages::CLUSTER_RESPAWN);
                 shard.respawn(detector);
                 cluster.respawns.fetch_add(1, Ordering::Relaxed);
-                let fresh = Arc::new(Lane::new(cluster.config.runtime.queue));
+                let fresh = Arc::new(Lane::new(cluster.config.queue));
                 self.lanes[k] = Arc::clone(&fresh);
                 self.spawn_drainer(k, fresh);
                 if drained {

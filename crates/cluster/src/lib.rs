@@ -17,8 +17,10 @@
 //! * [`cluster`] — [`Cluster`] / [`ClusterHandle`]: the data plane and
 //!   the control plane. The data plane is one supervised serve loop —
 //!   a feeder routing frames to per-shard queues, one drainer per
-//!   shard, load shedding at the edge, dead or stalled shards failed
-//!   over and respawned warm — behind [`serve`] (batches of frames),
+//!   shard, load shedding at the edge, per-frame retries under a
+//!   deadline, dead or stalled shards failed over and respawned warm —
+//!   the only place the workspace queues, retries or watches for
+//!   stalls, behind [`serve`] (batches of frames),
 //!   [`serve_streams`] (temporal video streams with per-shard cell
 //!   caches and trackers) and the SLO harnesses. The control plane's
 //!   blue/green [`swap_model`] drains each shard — rolling or all at

@@ -8,7 +8,7 @@ use pcnn_cluster::{Cluster, ClusterConfig, StreamFrame};
 use pcnn_core::pipeline::{Detector, TrainedDetector};
 use pcnn_core::{Error, Extractor, StreamId, WindowClassifier};
 use pcnn_hog::BlockNorm;
-use pcnn_runtime::{Backpressure, RuntimeConfig};
+use pcnn_runtime::Backpressure;
 use pcnn_store::CheckpointDir;
 use pcnn_svm::{train, FeatureScaler, TrainConfig};
 use pcnn_vision::{SynthConfig, SynthDataset};
@@ -64,16 +64,13 @@ fn cluster_output_is_bit_identical_to_serial_at_any_worker_count() {
     let serial: Vec<_> = frames.iter().map(|f| engine.detect(&detector, &f.image)).collect();
 
     for workers in [1usize, 2, 4] {
-        let config = ClusterConfig {
-            shards: 3,
-            router_seed: 7,
-            runtime: RuntimeConfig::builder()
-                .workers(workers)
-                .backpressure(Backpressure::Block)
-                .build()
-                .unwrap(),
-            ..ClusterConfig::default()
-        };
+        let config = ClusterConfig::builder()
+            .shards(3)
+            .router_seed(7)
+            .workers(workers)
+            .backpressure(Backpressure::Block)
+            .build()
+            .unwrap();
         let cluster = Cluster::new(&snapshot, config).unwrap();
         let results = cluster.serve(&frames);
         assert_eq!(results.len(), frames.len());
@@ -124,18 +121,15 @@ fn reject_backpressure_sheds_at_the_cluster_edge_with_honest_accounting() {
     // One shard, one worker, a one-slot queue and Reject: the unpaced
     // feeder floods the queue far faster than detection drains it, so
     // some frames must shed.
-    let config = ClusterConfig {
-        shards: 1,
-        router_seed: 0,
-        runtime: RuntimeConfig::builder()
-            .workers(1)
-            .queue_capacity(1)
-            .batch_size(1)
-            .backpressure(Backpressure::Reject)
-            .build()
-            .unwrap(),
-        ..ClusterConfig::default()
-    };
+    let config = ClusterConfig::builder()
+        .shards(1)
+        .router_seed(0)
+        .workers(1)
+        .queue_capacity(1)
+        .batch_size(1)
+        .backpressure(Backpressure::Reject)
+        .build()
+        .unwrap();
     let cluster = Cluster::new(&snapshot, config).unwrap();
     let frames: Vec<StreamFrame> =
         frames_for_test().into_iter().cycle().take(16).collect::<Vec<_>>();
@@ -163,16 +157,13 @@ fn reject_backpressure_sheds_at_the_cluster_edge_with_honest_accounting() {
 fn report_aggregates_every_shard() {
     let detector = detector_with(1);
     let snapshot = detector.to_snapshot();
-    let config = ClusterConfig {
-        shards: 3,
-        router_seed: 11,
-        runtime: RuntimeConfig::builder()
-            .workers(2)
-            .backpressure(Backpressure::Block)
-            .build()
-            .unwrap(),
-        ..ClusterConfig::default()
-    };
+    let config = ClusterConfig::builder()
+        .shards(3)
+        .router_seed(11)
+        .workers(2)
+        .backpressure(Backpressure::Block)
+        .build()
+        .unwrap();
     let cluster = Cluster::new(&snapshot, config).unwrap();
     let frames = frames_for_test();
     let results = cluster.serve(&frames);

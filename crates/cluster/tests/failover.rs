@@ -271,6 +271,24 @@ fn supervision_fields_default_through_serde() {
     assert_eq!(back.failovers, report.failovers);
 }
 
+/// A config serialized while the queue lived in `runtime` has no
+/// top-level `queue`: it fails to decode instead of silently taking the
+/// default queue settings.
+#[test]
+fn a_config_without_a_top_level_queue_fails_to_decode() {
+    let config = supervised_config(2);
+    let json = serde_json::to_string(&config).unwrap();
+    let queue = serde_json::to_string(&config.queue).unwrap();
+    // The old shape: the queue nested in `runtime`, none at top level.
+    let chunk_rows = format!("\"chunk_rows\":{}", config.runtime.chunk_rows);
+    let nested = format!("{chunk_rows},\"queue\":{queue}");
+    let old =
+        json.replacen(&format!(",\"queue\":{queue}"), "", 1).replacen(&chunk_rows, &nested, 1);
+    assert_ne!(old, json, "the document was reshaped");
+    let err = serde_json::from_str::<ClusterConfig>(&old).unwrap_err();
+    assert!(err.to_string().contains("missing field `queue`"), "{err}");
+}
+
 fn tempdir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();

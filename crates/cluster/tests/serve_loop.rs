@@ -1,16 +1,17 @@
 //! Contracts of the one supervised serve loop behind every cluster entry
 //! point: a failed batch frame is re-raised once every frame has an
-//! outcome instead of hanging the feeder, and both SLO harnesses record
-//! one measured latency sample per served frame.
+//! outcome instead of hanging the feeder, the per-frame retry stops at
+//! its attempt budget or its deadline with exact counters, and both SLO
+//! harnesses record one measured latency sample per served frame.
 
 use pcnn_cluster::{
     arrivals, run_slo, run_stream_slo, ChaosEvent, ChaosPlan, Cluster, ClusterConfig, LoadProfile,
-    SloBudget, StreamFrame,
+    SloBudget, StreamFrame, StreamOutcome,
 };
 use pcnn_core::pipeline::TrainedDetector;
-use pcnn_core::{Extractor, StreamId, WindowClassifier};
+use pcnn_core::{Error, Extractor, StreamId, WindowClassifier};
 use pcnn_hog::BlockNorm;
-use pcnn_runtime::Backpressure;
+use pcnn_runtime::{Backpressure, RetryPolicy};
 use pcnn_svm::{train, FeatureScaler, TrainConfig};
 use pcnn_vision::{SynthConfig, SynthDataset, TemporalConfig, VideoStream};
 use std::panic::AssertUnwindSafe;
@@ -48,6 +49,29 @@ fn mismatched_detector() -> TrainedDetector {
         extractor: Extractor::napprox_fp(BlockNorm::L2),
         classifier: WindowClassifier::Svm { model, scaler },
     }
+}
+
+/// One shard serving [`mismatched_detector`] under `retry`, so every
+/// attempt at every frame fails in the classify stage.
+fn failing_cluster(retry: RetryPolicy) -> Cluster {
+    let config = ClusterConfig::builder()
+        .shards(1)
+        .workers(1)
+        .backpressure(Backpressure::Block)
+        .retry(retry)
+        .build()
+        .unwrap();
+    let cluster = Cluster::new(&detector().to_snapshot(), config).unwrap();
+    // `Shard::install` takes the detector as it is; a snapshot with this
+    // pairing would be rejected before it reached a shard.
+    cluster.shards()[0].install(mismatched_detector());
+    cluster
+}
+
+/// Four pedestrian crops, all frames of stream 0.
+fn crops() -> Vec<StreamFrame> {
+    let ds = SynthDataset::new(SynthConfig::default());
+    (0..4).map(|i| StreamFrame { stream: StreamId::new(0), image: ds.train_positive(i) }).collect()
 }
 
 fn interleaved_streams(streams: u64, per_stream: u64) -> Vec<StreamFrame> {
@@ -95,10 +119,7 @@ fn serve_reraises_a_failed_batch_frame_instead_of_hanging() {
         // `Shard::install` takes the detector as it is; a snapshot with
         // this pairing would be rejected before it reached a shard.
         cluster.shards()[0].install(mismatched_detector());
-        let ds = SynthDataset::new(SynthConfig::default());
-        let frames: Vec<StreamFrame> = (0..4)
-            .map(|i| StreamFrame { stream: StreamId::new(0), image: ds.train_positive(i) })
-            .collect();
+        let frames = crops();
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| cluster.serve(&frames)));
         let message = outcome.map(|_| ()).map_err(|payload| {
             payload.downcast::<String>().map(|m| *m).unwrap_or_else(|_| "non-string panic".into())
@@ -111,6 +132,53 @@ fn serve_reraises_a_failed_batch_frame_instead_of_hanging() {
         Err(_) => panic!("serve still running 60 s after frame 0 failed"),
     }
     run.join().expect("the serving thread caught the panic itself");
+}
+
+#[test]
+fn exhausted_attempts_fail_every_frame_with_its_last_error() {
+    let cluster = failing_cluster(RetryPolicy {
+        max_attempts: 2,
+        base_backoff: Duration::from_millis(1),
+        deadline: None,
+        jitter_pm: 0,
+    });
+    let frames = crops();
+    let outcomes = cluster.serve_streams_with(&frames, None);
+    assert_eq!(outcomes.len(), frames.len());
+    for (i, outcome) in outcomes.iter().enumerate() {
+        assert!(
+            matches!(
+                outcome,
+                StreamOutcome::Failed { error: Error::WorkerPanic { stage, .. }, attempts: 2 }
+                    if stage == "classify"
+            ),
+            "frame {i}: {outcome:?}"
+        );
+    }
+    let report = cluster.report();
+    assert_eq!(report.retries, frames.len() as u64, "one retry between two attempts per frame");
+    assert_eq!(report.deadline_exceeded, 0);
+}
+
+#[test]
+fn a_backoff_past_the_deadline_resolves_the_frame_without_retrying() {
+    // The first backoff (50 ms) alone overruns the 40 ms deadline, so
+    // each frame gives up after its first failed attempt.
+    let cluster = failing_cluster(RetryPolicy {
+        max_attempts: 100,
+        base_backoff: Duration::from_millis(50),
+        deadline: Some(Duration::from_millis(40)),
+        jitter_pm: 0,
+    });
+    let frames = crops();
+    let outcomes = cluster.serve_streams_with(&frames, None);
+    assert_eq!(outcomes.len(), frames.len());
+    for (i, outcome) in outcomes.iter().enumerate() {
+        assert!(matches!(outcome, StreamOutcome::DeadlineExceeded), "frame {i}: {outcome:?}");
+    }
+    let report = cluster.report();
+    assert_eq!(report.deadline_exceeded, frames.len() as u64);
+    assert_eq!(report.retries, 0, "no attempt is retried past the deadline");
 }
 
 #[test]

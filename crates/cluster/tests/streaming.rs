@@ -185,9 +185,18 @@ fn builder_rejects_degenerate_configs() {
     assert!(ClusterConfig::builder().shards(0).build().is_err());
     assert!(ClusterConfig::builder().stream_cache_capacity(0).build().is_err());
     assert!(ClusterConfig::builder().workers(0).build().is_err());
-    let ok = ClusterConfig::builder().shards(2).stream_cache_capacity(8).build().unwrap();
+    assert!(ClusterConfig::builder().queue_capacity(0).build().is_err());
+    assert!(ClusterConfig::builder().batch_size(0).build().is_err());
+    assert!(ClusterConfig::builder().queue_capacity(2).batch_size(4).build().is_err());
+    let ok = ClusterConfig::builder()
+        .shards(2)
+        .stream_cache_capacity(8)
+        .queue_capacity(64)
+        .build()
+        .unwrap();
     assert_eq!(ok.shards, 2);
     assert_eq!(ok.stream_cache_capacity, 8);
+    assert_eq!(ok.queue.capacity, 64);
     assert_eq!(ok.swap, SwapPolicy::Rolling);
 }
 

@@ -8,7 +8,7 @@ use pcnn_cluster::{Cluster, ClusterConfig, StreamFrame};
 use pcnn_core::pipeline::{Detector, TrainedDetector};
 use pcnn_core::{Extractor, StreamId, WindowClassifier};
 use pcnn_hog::BlockNorm;
-use pcnn_runtime::{Backpressure, RuntimeConfig};
+use pcnn_runtime::Backpressure;
 use pcnn_svm::{train, FeatureScaler, TrainConfig};
 use pcnn_vision::{SynthConfig, SynthDataset};
 use std::time::Duration;
@@ -33,17 +33,14 @@ fn detector_with(seed: u64) -> TrainedDetector {
 }
 
 fn cluster_config(shards: u32, workers: usize) -> ClusterConfig {
-    ClusterConfig {
-        shards,
-        router_seed: 3,
-        runtime: RuntimeConfig::builder()
-            .workers(workers)
-            .batch_size(2)
-            .backpressure(Backpressure::Block)
-            .build()
-            .unwrap(),
-        ..ClusterConfig::default()
-    }
+    ClusterConfig::builder()
+        .shards(shards)
+        .router_seed(3)
+        .workers(workers)
+        .batch_size(2)
+        .backpressure(Backpressure::Block)
+        .build()
+        .unwrap()
 }
 
 #[test]

@@ -79,13 +79,6 @@ pub enum Error {
         /// The panic payload, if it was a string.
         message: String,
     },
-    /// A request exceeded its deadline before an attempt could succeed.
-    DeadlineExceeded {
-        /// How long the request had been in flight, in milliseconds.
-        waited_ms: u64,
-        /// The configured deadline, in milliseconds.
-        deadline_ms: u64,
-    },
 }
 
 impl fmt::Display for Error {
@@ -119,13 +112,6 @@ impl fmt::Display for Error {
             }
             Error::WorkerPanic { stage, message } => {
                 write!(f, "worker panicked in {stage} stage: {message}")
-            }
-            Error::DeadlineExceeded { waited_ms, deadline_ms } => {
-                write!(
-                    f,
-                    "deadline exceeded: {waited_ms} ms in flight against a \
-                     {deadline_ms} ms deadline"
-                )
             }
         }
     }
@@ -176,7 +162,5 @@ mod tests {
         assert!(e.to_string().contains("crc mismatch"));
         let v = Error::UnsupportedVersion { path: "m.ckpt".into(), found: 9, supported: 1 };
         assert!(v.to_string().contains("version 9"));
-        let d = Error::DeadlineExceeded { waited_ms: 120, deadline_ms: 100 };
-        assert!(d.to_string().contains("120 ms"));
     }
 }

@@ -7,16 +7,13 @@
 //!   items executed on a fixed pool of scoped threads, with results
 //!   merged in scan order so parallel output is **bit-identical** to
 //!   the serial path at any worker count;
-//! * [`queue`] — a bounded request queue/batcher with configurable
-//!   capacity, batch size and backpressure ([`Backpressure::Reject`]
-//!   or [`Backpressure::Block`]);
 //! * [`metrics`] — lock-free serving counters (frames served, windows
-//!   scored, queue depth, per-stage wall time, latency histogram)
+//!   scored, per-stage wall time, latency histogram, caught panics)
 //!   snapshotted into a serializable [`RuntimeReport`], with the
 //!   neurosynaptic simulator's [`SystemStats`](pcnn_truenorth::SystemStats)
 //!   threaded through;
-//! * [`server`] — [`DetectionServer`], the front-end tying the three
-//!   together: one staged pipeline over (frame, [`CellCache`]) pairs —
+//! * [`server`] — [`DetectionServer`], the staged pipeline plus the
+//!   counters it feeds: one pipeline over (frame, [`CellCache`]) pairs —
 //!   cache probe, pyramid, cells, classify, NMS — that a batch runs
 //!   over fresh caches it then drops (nothing is hashed, every cell and
 //!   window is computed) and a stream frame over the stream's own
@@ -36,23 +33,27 @@
 //!   [`FaultPlan`](pcnn_truenorth::FaultPlan) falls back to a software
 //!   paradigm instead of serving garbage (or panicking), with
 //!   degradation counted in the [`RuntimeReport`];
-//! * [`supervise`] — request supervision: [`RetryPolicy`] deadlines
-//!   with bounded exponential-backoff retry for
-//!   [`DetectionServer::submit`], and a [`Watchdog`] that flags stalled
-//!   batches off the metrics heartbeat;
+//! * [`queue`] / [`supervise`] — the primitives the `pcnn-cluster`
+//!   serve loop supervises shards with: a bounded [`RequestQueue`]
+//!   batcher ([`QueueConfig`] capacity, batch size and
+//!   [`Backpressure::Reject`] or [`Backpressure::Block`]), the
+//!   [`RetryPolicy`] (bounded exponential-backoff retry under a
+//!   deadline), and a [`Watchdog`] that flags a stalled [`Heartbeat`];
 //! * [`chaos`] — fault injection ([`PanicInjector`]) for pinning the
 //!   supervision contract: a panicking classify chunk fails only its
-//!   own frame's request, is counted as `panics_caught`, and leaves no
-//!   lock poisoned.
+//!   own frame, is counted as `panics_caught`, and leaves no lock
+//!   poisoned.
 //!
 //! ## Supervision
 //!
 //! Worker panics are caught per work item
 //! ([`scheduler::try_parallel_map`]): a poisoned input fails only the
 //! frames it belongs to — [`DetectionServer::detect_batch`] returns a
-//! per-frame `Result` — while [`DetectionServer::submit`] layers
-//! deadlines and bounded retry on top. Queue locks recover from poisoning, so one crashed worker never
-//! wedges producers or consumers.
+//! per-frame `Result`. Queueing, shedding, retries, deadlines and stall
+//! detection live once, in the `pcnn-cluster` serve loop, which serves
+//! every frame through this server. Queue locks recover from
+//! poisoning, so one crashed worker never wedges producers or
+//! consumers.
 //!
 //! ## Determinism
 //!
@@ -112,4 +113,4 @@ pub use queue::{Backpressure, PushError, QueueConfig, RequestQueue};
 pub use scheduler::{parallel_map, plan_chunks, try_parallel_map, Chunk, WorkerPanic};
 pub use server::{DetectionServer, RuntimeConfig, RuntimeConfigBuilder};
 pub use stream::{StreamFrameResult, StreamHandle, StreamSnapshot, StreamState};
-pub use supervise::{RetryPolicy, Watchdog, WatchdogStatus};
+pub use supervise::{Heartbeat, RetryPolicy, Watchdog, WatchdogStatus};

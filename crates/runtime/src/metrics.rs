@@ -4,7 +4,7 @@
 use pcnn_truenorth::SystemStats;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Upper bounds (µs, inclusive) of the latency histogram buckets. All
 /// bounds are finite; samples above the last bound land in the
@@ -151,10 +151,8 @@ impl StageTimes {
 #[derive(Debug)]
 pub struct Metrics {
     frames_served: AtomicU64,
-    frames_rejected: AtomicU64,
     windows_scored: AtomicU64,
     batches: AtomicU64,
-    max_queue_depth: AtomicU64,
     stage_pyramid_ns: AtomicU64,
     stage_cells_ns: AtomicU64,
     stage_classify_ns: AtomicU64,
@@ -165,19 +163,9 @@ pub struct Metrics {
     health_failures: AtomicU64,
     level_batches: Vec<AtomicU64>,
     panics_caught: AtomicU64,
-    retries: AtomicU64,
-    deadline_misses: AtomicU64,
-    stalls_detected: AtomicU64,
-    checkpoints_written: AtomicU64,
-    checkpoints_restored: AtomicU64,
     cells_reused: AtomicU64,
     cells_recomputed: AtomicU64,
     tracks_active: AtomicU64,
-    // Watchdog heartbeat: work in flight plus the last time any stage
-    // completed, as milliseconds since these metrics were created.
-    in_flight: AtomicU64,
-    last_beat_ms: AtomicU64,
-    created: Instant,
 }
 
 impl Default for Metrics {
@@ -209,10 +197,8 @@ impl Metrics {
     pub fn with_levels(levels: usize) -> Self {
         Metrics {
             frames_served: AtomicU64::new(0),
-            frames_rejected: AtomicU64::new(0),
             windows_scored: AtomicU64::new(0),
             batches: AtomicU64::new(0),
-            max_queue_depth: AtomicU64::new(0),
             stage_pyramid_ns: AtomicU64::new(0),
             stage_cells_ns: AtomicU64::new(0),
             stage_classify_ns: AtomicU64::new(0),
@@ -223,28 +209,15 @@ impl Metrics {
             health_failures: AtomicU64::new(0),
             level_batches: (0..levels).map(|_| AtomicU64::new(0)).collect(),
             panics_caught: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            deadline_misses: AtomicU64::new(0),
-            stalls_detected: AtomicU64::new(0),
-            checkpoints_written: AtomicU64::new(0),
-            checkpoints_restored: AtomicU64::new(0),
             cells_reused: AtomicU64::new(0),
             cells_recomputed: AtomicU64::new(0),
             tracks_active: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            last_beat_ms: AtomicU64::new(0),
-            created: Instant::now(),
         }
     }
 
     /// Counts `n` frames served.
     pub fn add_frames(&self, n: u64) {
         self.frames_served.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts `n` frames rejected by queue backpressure.
-    pub fn add_rejected(&self, n: u64) {
-        self.frames_rejected.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Counts `n` windows scored.
@@ -256,11 +229,6 @@ impl Metrics {
     pub fn add_batch(&self, latency: Duration) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batch_latency_us.record(latency.as_micros() as u64);
-    }
-
-    /// Records an observed queue depth.
-    pub fn observe_queue_depth(&self, depth: u64) {
-        self.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
     }
 
     /// Counts one batch served below the primary service level, covering
@@ -293,31 +261,6 @@ impl Metrics {
         self.panics_caught.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Counts one retried request attempt.
-    pub fn add_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one request abandoned at its deadline.
-    pub fn add_deadline_miss(&self) {
-        self.deadline_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one watchdog stall detection.
-    pub fn add_stall(&self) {
-        self.stalls_detected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one checkpoint written to disk.
-    pub fn add_checkpoint_written(&self) {
-        self.checkpoints_written.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one checkpoint restored from disk.
-    pub fn add_checkpoint_restored(&self) {
-        self.checkpoints_restored.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Counts `n` pyramid cells served from a stream's temporal cache.
     pub fn add_cells_reused(&self, n: u64) {
         self.cells_reused.fetch_add(n, Ordering::Relaxed);
@@ -335,39 +278,6 @@ impl Metrics {
         self.tracks_active.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Marks the start of one unit of supervised work (a batch).
-    pub fn begin_work(&self) {
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
-        self.beat();
-    }
-
-    /// Marks the end of one unit of supervised work.
-    pub fn end_work(&self) {
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
-        self.beat();
-    }
-
-    /// Records a sign of life: a stage or batch completed. The watchdog
-    /// compares this heartbeat against wall time to detect stalls.
-    pub fn beat(&self) {
-        let now = self.created.elapsed().as_millis() as u64;
-        self.last_beat_ms.fetch_max(now, Ordering::Relaxed);
-    }
-
-    /// Units of supervised work currently executing.
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight.load(Ordering::Relaxed)
-    }
-
-    /// Milliseconds since the last heartbeat (`None` before any beat).
-    pub fn silent_ms(&self) -> Option<u64> {
-        let last = self.last_beat_ms.load(Ordering::Relaxed);
-        if last == 0 && self.in_flight() == 0 {
-            return None;
-        }
-        Some((self.created.elapsed().as_millis() as u64).saturating_sub(last))
-    }
-
     /// Adds wall time to one pipeline stage.
     pub fn add_stage(&self, stage: Stage, elapsed: Duration) {
         let ns = elapsed.as_nanos() as u64;
@@ -378,7 +288,6 @@ impl Metrics {
             Stage::Nms => &self.stage_nms_ns,
         };
         counter.fetch_add(ns, Ordering::Relaxed);
-        self.beat();
     }
 
     /// Snapshots every counter into a serializable report. `workers` is
@@ -389,10 +298,8 @@ impl Metrics {
         RuntimeReport {
             workers,
             frames_served: self.frames_served.load(Ordering::Relaxed),
-            frames_rejected: self.frames_rejected.load(Ordering::Relaxed),
             windows_scored: self.windows_scored.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
-            max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
             stage: StageTimes {
                 pyramid_ms: ms(&self.stage_pyramid_ns),
                 cells_ms: ms(&self.stage_cells_ns),
@@ -405,11 +312,6 @@ impl Metrics {
             health_failures: self.health_failures.load(Ordering::Relaxed),
             levels: Vec::new(),
             panics_caught: self.panics_caught.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            deadline_misses: self.deadline_misses.load(Ordering::Relaxed),
-            stalls_detected: self.stalls_detected.load(Ordering::Relaxed),
-            checkpoints_written: self.checkpoints_written.load(Ordering::Relaxed),
-            checkpoints_restored: self.checkpoints_restored.load(Ordering::Relaxed),
             cells_reused: self.cells_reused.load(Ordering::Relaxed),
             cells_recomputed: self.cells_recomputed.load(Ordering::Relaxed),
             tracks_active: self.tracks_active.load(Ordering::Relaxed),
@@ -499,14 +401,10 @@ pub struct RuntimeReport {
     pub workers: usize,
     /// Frames fully detected (pyramid through NMS).
     pub frames_served: u64,
-    /// Frames dropped by `Backpressure::Reject`.
-    pub frames_rejected: u64,
     /// Sliding windows scored across all frames and pyramid levels.
     pub windows_scored: u64,
     /// Batches executed.
     pub batches: u64,
-    /// Highest queue depth observed at enqueue time.
-    pub max_queue_depth: u64,
     /// Per-stage wall time, summed over batches.
     pub stage: StageTimes,
     /// Batch wall-time histogram.
@@ -524,24 +422,9 @@ pub struct RuntimeReport {
     /// Empty when the server has no fallback chain.
     #[serde(default)]
     pub levels: Vec<LevelReport>,
-    /// Worker panics caught and isolated to their request.
+    /// Worker panics caught and isolated to their frame.
     #[serde(default)]
     pub panics_caught: u64,
-    /// Request attempts retried under a [`RetryPolicy`](crate::RetryPolicy).
-    #[serde(default)]
-    pub retries: u64,
-    /// Requests abandoned because their deadline passed.
-    #[serde(default)]
-    pub deadline_misses: u64,
-    /// Stalls flagged by the watchdog.
-    #[serde(default)]
-    pub stalls_detected: u64,
-    /// Checkpoints written to disk by supervised training/serving.
-    #[serde(default)]
-    pub checkpoints_written: u64,
-    /// Checkpoints restored from disk.
-    #[serde(default)]
-    pub checkpoints_restored: u64,
     /// Pyramid cells served from stream temporal caches.
     #[serde(default)]
     pub cells_reused: u64,
@@ -570,8 +453,8 @@ impl RuntimeReport {
     /// Combines two reports into one, the primitive a cluster-level
     /// aggregate is built from: counters sum, per-stage wall times sum,
     /// latency histograms merge bucket-wise (overflow included, via
-    /// [`HistogramReport::merge`]), `max_queue_depth` takes the maximum,
-    /// per-level batch counts merge by label, and simulator counters sum
+    /// [`HistogramReport::merge`]), per-level batch counts merge by
+    /// label, and simulator counters sum
     /// field-wise when both sides carry them. `workers` sums, so an
     /// aggregate over shards reports the total worker threads serving.
     ///
@@ -602,10 +485,8 @@ impl RuntimeReport {
         RuntimeReport {
             workers: self.workers + other.workers,
             frames_served: self.frames_served + other.frames_served,
-            frames_rejected: self.frames_rejected + other.frames_rejected,
             windows_scored: self.windows_scored + other.windows_scored,
             batches: self.batches + other.batches,
-            max_queue_depth: self.max_queue_depth.max(other.max_queue_depth),
             stage: StageTimes {
                 pyramid_ms: self.stage.pyramid_ms + other.stage.pyramid_ms,
                 cells_ms: self.stage.cells_ms + other.stage.cells_ms,
@@ -618,11 +499,6 @@ impl RuntimeReport {
             health_failures: self.health_failures + other.health_failures,
             levels,
             panics_caught: self.panics_caught + other.panics_caught,
-            retries: self.retries + other.retries,
-            deadline_misses: self.deadline_misses + other.deadline_misses,
-            stalls_detected: self.stalls_detected + other.stalls_detected,
-            checkpoints_written: self.checkpoints_written + other.checkpoints_written,
-            checkpoints_restored: self.checkpoints_restored + other.checkpoints_restored,
             cells_reused: self.cells_reused + other.cells_reused,
             cells_recomputed: self.cells_recomputed + other.cells_recomputed,
             tracks_active: self.tracks_active + other.tracks_active,
@@ -640,16 +516,8 @@ impl RuntimeReport {
 impl std::fmt::Display for RuntimeReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "runtime report ({} workers)", self.workers)?;
-        writeln!(
-            f,
-            "  frames served {:>8}   rejected {:>6}   batches {:>6}",
-            self.frames_served, self.frames_rejected, self.batches
-        )?;
-        writeln!(
-            f,
-            "  windows scored {:>10}   max queue depth {:>4}",
-            self.windows_scored, self.max_queue_depth
-        )?;
+        writeln!(f, "  frames served {:>8}   batches {:>6}", self.frames_served, self.batches)?;
+        writeln!(f, "  windows scored {:>10}", self.windows_scored)?;
         if !self.kernel_backend.is_empty() {
             writeln!(f, "  kernel backend: {}", self.kernel_backend)?;
         }
@@ -670,13 +538,9 @@ impl std::fmt::Display for RuntimeReport {
             let last = self.batch_latency.bounds_us.last().copied().unwrap_or(0);
             write!(f, "  >{}ms:{overflow}", last / 1000)?;
         }
-        if self.panics_caught + self.retries + self.deadline_misses + self.stalls_detected > 0 {
+        if self.panics_caught > 0 {
             writeln!(f)?;
-            write!(
-                f,
-                "  supervision: {} panics caught, {} retries, {} deadline misses, {} stalls",
-                self.panics_caught, self.retries, self.deadline_misses, self.stalls_detected
-            )?;
+            write!(f, "  supervision: {} panics caught", self.panics_caught)?;
         }
         if self.cells_reused + self.cells_recomputed > 0 {
             writeln!(f)?;
@@ -691,14 +555,6 @@ impl std::fmt::Display for RuntimeReport {
                 self.cells_recomputed,
                 stats.hit_rate() * 100.0,
                 self.tracks_active
-            )?;
-        }
-        if self.checkpoints_written + self.checkpoints_restored > 0 {
-            writeln!(f)?;
-            write!(
-                f,
-                "  checkpoints: {} written, {} restored",
-                self.checkpoints_written, self.checkpoints_restored
             )?;
         }
         if !self.levels.is_empty() {
@@ -877,47 +733,32 @@ mod tests {
     fn supervision_counters_reach_the_report() {
         let m = Metrics::new();
         m.add_panics(2);
-        m.add_retry();
-        m.add_deadline_miss();
-        m.add_stall();
-        m.add_checkpoint_written();
-        m.add_checkpoint_written();
-        m.add_checkpoint_restored();
         let report = m.report(1, None);
         assert_eq!(report.panics_caught, 2);
-        assert_eq!(report.retries, 1);
-        assert_eq!(report.deadline_misses, 1);
-        assert_eq!(report.stalls_detected, 1);
-        assert_eq!(report.checkpoints_written, 2);
-        assert_eq!(report.checkpoints_restored, 1);
         let text = report.to_string();
-        assert!(text.contains("supervision"), "{text}");
-        assert!(text.contains("checkpoints: 2 written, 1 restored"), "{text}");
+        assert!(text.contains("supervision: 2 panics caught"), "{text}");
         let json = serde_json::to_string(&report).unwrap();
         let back: RuntimeReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
     }
 
     #[test]
-    fn reports_without_supervision_fields_still_decode() {
-        // A report serialized before the supervision counters existed
-        // must still deserialize (the new fields default to zero).
+    fn reports_with_the_retired_queue_and_supervision_keys_still_decode() {
+        // A report serialized while the runtime still counted queueing,
+        // retries, deadlines, stalls and checkpoints carries seven keys
+        // this report no longer has; decoding looks fields up by name,
+        // so the extra keys are ignored.
         let m = Metrics::new();
         m.add_frames(1);
+        m.add_panics(1);
         let report = m.report(1, None);
         let json = serde_json::to_string(&report).unwrap();
-        let stripped: String = [
-            "panics_caught",
-            "retries",
-            "deadline_misses",
-            "stalls_detected",
-            "checkpoints_written",
-            "checkpoints_restored",
-        ]
-        .iter()
-        .fold(json, |j, field| j.replace(&format!("\"{field}\":0,"), ""));
-        assert!(!stripped.contains("panics_caught"));
-        let back: RuntimeReport = serde_json::from_str(&stripped).unwrap();
+        let retired = "\"frames_rejected\":2,\"max_queue_depth\":3,\"retries\":4,\
+                       \"deadline_misses\":5,\"stalls_detected\":6,\
+                       \"checkpoints_written\":7,\"checkpoints_restored\":8,";
+        let old = json.replacen('{', &format!("{{{retired}"), 1);
+        assert!(old.contains("max_queue_depth") && old.contains("checkpoints_restored"), "{old}");
+        let back: RuntimeReport = serde_json::from_str(&old).unwrap();
         assert_eq!(back, report);
     }
 
@@ -968,20 +809,15 @@ mod tests {
         a.add_windows(10);
         a.add_batch(Duration::from_micros(50)); // first bucket
         a.add_batch(Duration::from_secs(10)); // overflow
-        a.observe_queue_depth(3);
         let b = Metrics::new();
         b.add_frames(4);
-        b.add_rejected(1);
         b.add_batch(Duration::from_micros(60)); // first bucket
         b.add_batch(Duration::from_secs(20)); // overflow
-        b.observe_queue_depth(7);
         let merged = a.report(2, None).merge(&b.report(3, None));
         assert_eq!(merged.workers, 5);
         assert_eq!(merged.frames_served, 6);
-        assert_eq!(merged.frames_rejected, 1);
         assert_eq!(merged.windows_scored, 10);
         assert_eq!(merged.batches, 4);
-        assert_eq!(merged.max_queue_depth, 7);
         assert_eq!(merged.batch_latency.counts[0], 2);
         assert_eq!(merged.batch_latency.overflow(), 2, "overflow buckets merge too");
         assert_eq!(merged.batch_latency.total(), 4);
@@ -1042,23 +878,5 @@ mod tests {
         old.kernel_backend = String::new();
         assert_eq!(report.merge(&old).kernel_backend, report.kernel_backend);
         assert_eq!(old.merge(&report).kernel_backend, report.kernel_backend);
-    }
-
-    #[test]
-    fn heartbeat_tracks_in_flight_work() {
-        let m = Metrics::new();
-        assert_eq!(m.silent_ms(), None);
-        assert_eq!(m.in_flight(), 0);
-        // Let wall time advance so the first beat records a nonzero
-        // timestamp (a zero beat with nothing in flight reads as
-        // "never beaten").
-        std::thread::sleep(Duration::from_millis(5));
-        m.begin_work();
-        assert_eq!(m.in_flight(), 1);
-        assert!(m.silent_ms().is_some());
-        m.end_work();
-        assert_eq!(m.in_flight(), 0);
-        // Once work has happened the heartbeat history persists.
-        assert!(m.silent_ms().is_some());
     }
 }

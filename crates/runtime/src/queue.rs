@@ -7,6 +7,7 @@
 //! returns an error to the producer immediately while
 //! [`Backpressure::Block`] parks it until space frees up.
 
+use pcnn_core::Error;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -36,6 +37,31 @@ pub struct QueueConfig {
 impl Default for QueueConfig {
     fn default() -> Self {
         QueueConfig { capacity: 64, batch_size: 8, backpressure: Backpressure::Block }
+    }
+}
+
+impl QueueConfig {
+    /// Validates the capacity and batch size, so a degenerate queue is an
+    /// [`Error`] at configuration time rather than a panic in
+    /// [`RequestQueue::new`].
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidConfig`] naming the first offending field.
+    pub fn validate(&self) -> Result<(), Error> {
+        let bad = |what: &str, reason: &str| {
+            Err(Error::InvalidConfig { what: what.to_owned(), reason: reason.to_owned() })
+        };
+        if self.capacity == 0 {
+            return bad("queue.capacity", "queue capacity must be positive");
+        }
+        if self.batch_size == 0 {
+            return bad("queue.batch_size", "batch size must be positive");
+        }
+        if self.batch_size > self.capacity {
+            return bad("queue.batch_size", "batch size cannot exceed queue capacity");
+        }
+        Ok(())
     }
 }
 

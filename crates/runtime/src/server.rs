@@ -1,4 +1,4 @@
-//! The detection server: batched, parallel frame serving with metrics.
+//! The detection server: the paper's staged pipeline with metrics.
 //!
 //! [`DetectionServer`] wraps a trained detector and runs the paper's
 //! pipeline once, as stages over (frame, [`CellCache`]) pairs on a
@@ -25,15 +25,18 @@
 //! way the per-window code is [`Detector`]'s, and the output is
 //! bit-identical to [`Detector::detect`]'s serial scan for any worker
 //! count.
+//!
+//! The server has no queue and no retry loop of its own: queueing,
+//! shedding, retries, deadlines and stall detection live in the cluster
+//! tier's supervised serve loop, which runs every frame through these
+//! entry points.
 
 use crate::cache::{frame_hash, CacheStats, CellCache, LevelCache};
 use crate::chaos::PanicInjector;
 use crate::degrade::FallbackChain;
 use crate::metrics::{LevelReport, Metrics, RuntimeReport, Stage};
-use crate::queue::{Backpressure, PushError, QueueConfig, RequestQueue};
 use crate::scheduler::{plan_chunks, try_parallel_map, Chunk, WorkerPanic};
 use crate::stream::{StreamFrameResult, StreamHandle, StreamState};
-use crate::supervise::RetryPolicy;
 use pcnn_core::pipeline::{Detector, TrainedDetector};
 use pcnn_core::{Error, StreamId};
 use pcnn_truenorth::SystemStats;
@@ -51,26 +54,28 @@ pub struct RuntimeConfig {
     /// Window start rows per classification work item. Smaller chunks
     /// balance better across workers; larger chunks amortize dispatch.
     pub chunk_rows: usize,
-    /// Request queue/batcher parameters.
-    pub queue: QueueConfig,
 }
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
-        RuntimeConfig { workers: 4, chunk_rows: 4, queue: QueueConfig::default() }
+        RuntimeConfig { workers: 4, chunk_rows: 4 }
     }
 }
 
 impl RuntimeConfig {
     /// A validating builder:
-    /// `RuntimeConfig::builder().workers(8).queue_capacity(64).build()?`.
+    /// `RuntimeConfig::builder().workers(8).chunk_rows(2).build()?`.
     pub fn builder() -> RuntimeConfigBuilder {
         RuntimeConfigBuilder::default()
     }
 
     /// Validates every field, mirroring what [`DetectionServer::new`]
     /// enforces.
-    pub(crate) fn validate(&self) -> Result<(), Error> {
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidConfig`] naming the first offending field.
+    pub fn validate(&self) -> Result<(), Error> {
         let bad = |what: &str, reason: &str| {
             Err(Error::InvalidConfig { what: what.to_owned(), reason: reason.to_owned() })
         };
@@ -79,15 +84,6 @@ impl RuntimeConfig {
         }
         if self.chunk_rows == 0 {
             return bad("chunk_rows", "chunk_rows must be positive");
-        }
-        if self.queue.capacity == 0 {
-            return bad("queue.capacity", "queue capacity must be positive");
-        }
-        if self.queue.batch_size == 0 {
-            return bad("queue.batch_size", "batch size must be positive");
-        }
-        if self.queue.batch_size > self.queue.capacity {
-            return bad("queue.batch_size", "batch size cannot exceed queue capacity");
         }
         Ok(())
     }
@@ -114,24 +110,6 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Sets the request-queue capacity.
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.config.queue.capacity = capacity;
-        self
-    }
-
-    /// Sets the maximum requests per drained batch.
-    pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.config.queue.batch_size = batch_size;
-        self
-    }
-
-    /// Sets the full-queue behavior.
-    pub fn backpressure(mut self, backpressure: Backpressure) -> Self {
-        self.config.queue.backpressure = backpressure;
-        self
-    }
-
     /// Validates and returns the configuration.
     ///
     /// # Errors
@@ -143,9 +121,9 @@ impl RuntimeConfigBuilder {
     }
 }
 
-/// A batched, parallel serving front-end over a trained detector —
-/// or over a [`FallbackChain`] of them, degrading per batch when the
-/// preferred level fails its health probe.
+/// A parallel serving front-end over a trained detector — or over a
+/// [`FallbackChain`] of them, degrading per batch when the preferred
+/// level fails its health probe.
 #[derive(Debug)]
 pub struct DetectionServer<'d> {
     engine: Detector,
@@ -160,8 +138,7 @@ impl<'d> DetectionServer<'d> {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`] if `workers`, `chunk_rows` or the queue
-    /// configuration is degenerate.
+    /// [`Error::InvalidConfig`] if `workers` or `chunk_rows` is zero.
     pub fn new(
         engine: Detector,
         detector: &'d TrainedDetector,
@@ -212,13 +189,6 @@ impl<'d> DetectionServer<'d> {
     /// The runtime configuration.
     pub fn config(&self) -> &RuntimeConfig {
         &self.config
-    }
-
-    /// The live serving metrics — feed them to a
-    /// [`Watchdog`](crate::Watchdog) for stall detection, or count
-    /// checkpoint writes/restores against the same report.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
     }
 
     /// The wrapped detection engine.
@@ -273,9 +243,9 @@ impl<'d> DetectionServer<'d> {
         })
     }
 
-    /// Runs `body` over `frames` frames as one batch: inside a
-    /// `runtime.batch` span and the metrics' work window, counting the
-    /// frames it served and the batch latency.
+    /// Runs `body` over `frames` frames as one batch inside a
+    /// `runtime.batch` span, counting the frames it served and the batch
+    /// latency.
     fn batch<T>(
         &self,
         frames: usize,
@@ -286,11 +256,9 @@ impl<'d> DetectionServer<'d> {
             span.add(pcnn_trace::Counter::Frames, frames as u64);
         }
         let start = Instant::now();
-        self.metrics.begin_work();
         let results = body();
         self.metrics.add_frames(results.iter().filter(|r| r.is_ok()).count() as u64);
         self.metrics.add_batch(start.elapsed());
-        self.metrics.end_work();
         results
     }
 
@@ -529,104 +497,6 @@ impl<'d> DetectionServer<'d> {
             .pop()
             .expect("one frame in, one result out")
             .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Submits one frame under a [`RetryPolicy`]: failed attempts are
-    /// retried with exponential backoff until the attempt budget or the
-    /// deadline runs out. Retries and deadline misses are counted in
-    /// the report.
-    ///
-    /// # Errors
-    ///
-    /// The last attempt's [`Error::WorkerPanic`] once attempts are
-    /// exhausted, or [`Error::DeadlineExceeded`] when the in-flight
-    /// budget ran out first.
-    pub fn submit(&self, frame: &GrayImage, policy: &RetryPolicy) -> Result<Vec<Detection>, Error> {
-        let start = Instant::now();
-        let max_attempts = policy.max_attempts.max(1);
-        let mut last_err = None;
-        for attempt in 1..=max_attempts {
-            if let Some(deadline) = policy.deadline {
-                if start.elapsed() >= deadline {
-                    self.metrics.add_deadline_miss();
-                    return Err(Error::DeadlineExceeded {
-                        waited_ms: start.elapsed().as_millis() as u64,
-                        deadline_ms: deadline.as_millis() as u64,
-                    });
-                }
-            }
-            match self.detect_batch(&[frame]).pop().expect("one frame in, one result out") {
-                Ok(detections) => return Ok(detections),
-                Err(e) => {
-                    last_err = Some(e);
-                    if attempt < max_attempts {
-                        self.metrics.add_retry();
-                        let mut backoff = policy.backoff_after(attempt);
-                        if let Some(deadline) = policy.deadline {
-                            backoff = backoff.min(deadline.saturating_sub(start.elapsed()));
-                        }
-                        if !backoff.is_zero() {
-                            std::thread::sleep(backoff);
-                        }
-                    }
-                }
-            }
-        }
-        Err(last_err.expect("at least one attempt ran"))
-    }
-
-    /// Serves a stream of frames through the request queue: a feeder
-    /// thread enqueues every frame (index-tagged) while this thread
-    /// drains batches and runs them on the worker pool.
-    ///
-    /// Returns per-frame detections in input order; `None` marks frames
-    /// dropped by [`Backpressure::Reject`]. With
-    /// [`Backpressure::Block`] every slot is `Some`.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first failed frame's error (such as
-    /// [`Error::WorkerPanic`]) as a panic, after closing the queue so a
-    /// feeder parked on a full queue exits instead of waiting forever.
-    /// Use [`detect_batch`](DetectionServer::detect_batch) when a
-    /// failed frame must not take the caller down.
-    pub fn serve(&self, frames: &[GrayImage]) -> Vec<Option<Vec<Detection>>> {
-        let queue: RequestQueue<usize> = RequestQueue::new(self.config.queue);
-        let mut results: Vec<Option<Vec<Detection>>> = (0..frames.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let feeder = scope.spawn(|| {
-                let mut rejected = 0u64;
-                for index in 0..frames.len() {
-                    match queue.push(index) {
-                        Ok(depth) => self.metrics.observe_queue_depth(depth as u64),
-                        Err(PushError::Full | PushError::Timeout) => rejected += 1,
-                        Err(PushError::Closed) => break,
-                    }
-                }
-                queue.close();
-                self.metrics.add_rejected(rejected);
-            });
-            while let Some(batch) = queue.pop_batch() {
-                let assemble_span = pcnn_trace::span(pcnn_trace::stages::RUNTIME_ASSEMBLE);
-                let imgs: Vec<&GrayImage> = batch.iter().map(|&i| &frames[i]).collect();
-                if assemble_span.is_recording() {
-                    assemble_span.add(pcnn_trace::Counter::Frames, imgs.len() as u64);
-                }
-                drop(assemble_span);
-                let dets = self.detect_batch(&imgs);
-                for (&i, d) in batch.iter().zip(dets) {
-                    match d {
-                        Ok(d) => results[i] = Some(d),
-                        Err(e) => {
-                            queue.close();
-                            panic!("{e}");
-                        }
-                    }
-                }
-            }
-            feeder.join().expect("feeder thread panicked");
-        });
-        results
     }
 
     /// Opens a video stream: mints a self-contained [`StreamHandle`]

@@ -1,14 +1,15 @@
-//! Request supervision: deadlines, bounded retry and stall detection.
+//! Supervision primitives: the retry policy, the heartbeat and the stall
+//! watchdog. The cluster tier's serve loop is where they run: it retries
+//! failed frames under a [`RetryPolicy`], beats one [`Heartbeat`] per
+//! shard lane, and condemns a lane its [`Watchdog`] finds stalled.
 
-use crate::metrics::Metrics;
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
-/// How a supervised request ([`DetectionServer::submit`]) responds to
-/// failure: how many attempts to make, how long to back off between
-/// them, and how long the request may stay in flight overall.
-///
-/// [`DetectionServer::submit`]: crate::DetectionServer::submit
+/// How a supervised frame responds to failure: how many attempts to
+/// make, how long to back off between them, and how long the frame may
+/// stay in flight overall.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetryPolicy {
     /// Total attempts (first try included). At least 1.
@@ -93,7 +94,67 @@ impl RetryPolicy {
     }
 }
 
-/// What the watchdog concluded about a runtime's liveness.
+/// A sign-of-life signal for one unit of supervised serving (a cluster
+/// shard's lane): work in flight plus the last time work began or
+/// ended. Lock-free, so the serving thread beats it while a supervisor
+/// reads it.
+#[derive(Debug)]
+pub struct Heartbeat {
+    in_flight: AtomicU64,
+    /// Milliseconds since `created` at the last beat.
+    last_beat_ms: AtomicU64,
+    created: Instant,
+}
+
+impl Default for Heartbeat {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Heartbeat {
+    /// A heartbeat with nothing in flight that has never beaten.
+    pub fn new() -> Self {
+        Heartbeat {
+            in_flight: AtomicU64::new(0),
+            last_beat_ms: AtomicU64::new(0),
+            created: Instant::now(),
+        }
+    }
+
+    /// Marks the start of one unit of supervised work.
+    pub fn begin_work(&self) {
+        self.in_flight.fetch_add(1, Ordering::Relaxed);
+        self.beat();
+    }
+
+    /// Marks the end of one unit of supervised work.
+    pub fn end_work(&self) {
+        self.in_flight.fetch_sub(1, Ordering::Relaxed);
+        self.beat();
+    }
+
+    fn beat(&self) {
+        let now = self.created.elapsed().as_millis() as u64;
+        self.last_beat_ms.fetch_max(now, Ordering::Relaxed);
+    }
+
+    /// Units of supervised work currently executing.
+    pub fn in_flight(&self) -> u64 {
+        self.in_flight.load(Ordering::Relaxed)
+    }
+
+    /// Milliseconds since the last beat (`None` before any beat).
+    pub fn silent_ms(&self) -> Option<u64> {
+        let last = self.last_beat_ms.load(Ordering::Relaxed);
+        if last == 0 && self.in_flight() == 0 {
+            return None;
+        }
+        Some((self.created.elapsed().as_millis() as u64).saturating_sub(last))
+    }
+}
+
+/// What the watchdog concluded about a heartbeat's liveness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WatchdogStatus {
     /// No work in flight and nothing overdue.
@@ -109,10 +170,9 @@ pub enum WatchdogStatus {
     },
 }
 
-/// A stall detector over a runtime's [`Metrics`] heartbeat. Every
-/// pipeline stage beats the heartbeat as it completes; the watchdog
-/// flags the runtime as stalled when work is in flight but the
-/// heartbeat has been silent past the threshold.
+/// A stall detector over a [`Heartbeat`]: it flags the work as stalled
+/// when work is in flight but the heartbeat has been silent past the
+/// threshold.
 ///
 /// The watchdog takes no threads of its own — call
 /// [`check`](Watchdog::check) from wherever supervision lives (a
@@ -134,19 +194,17 @@ impl Watchdog {
         self.stall_after
     }
 
-    /// Classifies the runtime's current liveness. A `Stalled` verdict
-    /// is counted in the metrics (and thus surfaces as
-    /// `stalls_detected` in the report).
-    pub fn check(&self, metrics: &Metrics) -> WatchdogStatus {
-        let in_flight = metrics.in_flight();
-        let Some(silent_ms) = metrics.silent_ms() else {
+    /// Classifies the heartbeat's current liveness. The caller counts
+    /// and acts on a `Stalled` verdict.
+    pub fn check(&self, heartbeat: &Heartbeat) -> WatchdogStatus {
+        let in_flight = heartbeat.in_flight();
+        let Some(silent_ms) = heartbeat.silent_ms() else {
             return WatchdogStatus::Idle;
         };
         if in_flight == 0 {
             return WatchdogStatus::Idle;
         }
         if u128::from(silent_ms) > self.stall_after.as_millis() {
-            metrics.add_stall();
             WatchdogStatus::Stalled { silent_ms }
         } else {
             WatchdogStatus::Healthy
@@ -223,21 +281,38 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_is_idle_then_healthy_then_stalled() {
-        let metrics = Metrics::new();
-        let dog = Watchdog::new(Duration::from_millis(30));
-        assert_eq!(dog.check(&metrics), WatchdogStatus::Idle);
+    fn heartbeat_tracks_in_flight_work() {
+        let heartbeat = Heartbeat::new();
+        assert_eq!(heartbeat.silent_ms(), None);
+        assert_eq!(heartbeat.in_flight(), 0);
+        // Let wall time advance so the first beat records a nonzero
+        // timestamp (a zero beat with nothing in flight reads as
+        // "never beaten").
+        std::thread::sleep(Duration::from_millis(5));
+        heartbeat.begin_work();
+        assert_eq!(heartbeat.in_flight(), 1);
+        assert!(heartbeat.silent_ms().is_some());
+        heartbeat.end_work();
+        assert_eq!(heartbeat.in_flight(), 0);
+        // Once work has happened the heartbeat history persists.
+        assert!(heartbeat.silent_ms().is_some());
+    }
 
-        metrics.begin_work();
-        assert_eq!(dog.check(&metrics), WatchdogStatus::Healthy);
+    #[test]
+    fn watchdog_is_idle_then_healthy_then_stalled() {
+        let heartbeat = Heartbeat::new();
+        let dog = Watchdog::new(Duration::from_millis(30));
+        assert_eq!(dog.check(&heartbeat), WatchdogStatus::Idle);
+
+        heartbeat.begin_work();
+        assert_eq!(dog.check(&heartbeat), WatchdogStatus::Healthy);
 
         std::thread::sleep(Duration::from_millis(60));
         assert!(
-            matches!(dog.check(&metrics), WatchdogStatus::Stalled { silent_ms } if silent_ms >= 30)
+            matches!(dog.check(&heartbeat), WatchdogStatus::Stalled { silent_ms } if silent_ms >= 30)
         );
-        assert_eq!(metrics.report(1, None).stalls_detected, 1);
 
-        metrics.end_work();
-        assert_eq!(dog.check(&metrics), WatchdogStatus::Idle);
+        heartbeat.end_work();
+        assert_eq!(dog.check(&heartbeat), WatchdogStatus::Idle);
     }
 }

@@ -103,12 +103,9 @@ fn dead_core_plan_degrades_to_software_fallback() {
 fn builder_rejects_degenerate_configs() {
     assert!(RuntimeConfig::builder().workers(0).build().is_err());
     assert!(RuntimeConfig::builder().chunk_rows(0).build().is_err());
-    assert!(RuntimeConfig::builder().queue_capacity(0).build().is_err());
-    assert!(RuntimeConfig::builder().batch_size(0).build().is_err());
-    assert!(RuntimeConfig::builder().queue_capacity(2).batch_size(4).build().is_err());
-    let ok = RuntimeConfig::builder().workers(8).queue_capacity(64).build().unwrap();
+    let ok = RuntimeConfig::builder().workers(8).chunk_rows(2).build().unwrap();
     assert_eq!(ok.workers, 8);
-    assert_eq!(ok.queue.capacity, 64);
+    assert_eq!(ok.chunk_rows, 2);
 }
 
 #[test]

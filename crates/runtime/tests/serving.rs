@@ -1,6 +1,7 @@
 //! Integration tests for the serving runtime: parallel output must be
-//! bit-identical to the serial detection path, and queue backpressure
-//! must reject cleanly without deadlocking.
+//! bit-identical to the serial detection path, a batch must match its
+//! frames served one at a time, and queue backpressure must reject
+//! cleanly without deadlocking.
 
 use pcnn_core::cotrain::{PartitionedSystem, TrainSetConfig};
 use pcnn_core::pipeline::{Detector, TrainedDetector};
@@ -75,30 +76,22 @@ fn parallel_detection_is_bit_identical_to_serial() {
 }
 
 #[test]
-fn batch_and_serve_match_per_frame_results() {
+fn detect_batch_matches_per_frame_results() {
     let detector = small_detector();
-    let config = RuntimeConfig::builder()
-        .workers(3)
-        .chunk_rows(2)
-        .queue_capacity(4)
-        .batch_size(2)
-        .backpressure(Backpressure::Block)
-        .build()
-        .unwrap();
+    let config = RuntimeConfig::builder().workers(3).chunk_rows(2).build().unwrap();
     let server = DetectionServer::new(Detector::default(), &detector, config).unwrap();
     let ds = SynthDataset::new(SynthConfig::default());
     let frames: Vec<_> = (0..4).map(|i| ds.test_scene(i).image.clone()).collect();
     let refs: Vec<_> = frames.iter().collect();
     let batched = server.detect_batch(&refs);
-    let served = server.serve(&frames);
-    assert_eq!(served.len(), frames.len());
-    for (frame, (batch, serve)) in batched.iter().zip(&served).enumerate() {
+    assert_eq!(batched.len(), frames.len());
+    for (i, (batch, frame)) in batched.iter().zip(&frames).enumerate() {
         let batch = batch.as_ref().expect("healthy batch frames all succeed");
-        let serve = serve.as_ref().expect("Block backpressure never drops frames");
-        assert_eq!(batch, serve, "frame {frame} differs between detect_batch and serve");
+        let single = server.detect_frame(frame);
+        assert_eq!(batch, &single, "frame {i} differs between detect_batch and detect_frame");
     }
     let report = server.report(None);
-    assert_eq!(report.frames_served, 8, "4 batched + 4 served");
+    assert_eq!(report.frames_served, 8, "4 batched + 4 one at a time");
     assert!(report.windows_scored > 0);
     assert!(report.stage.classify_ms > 0.0);
 }
@@ -121,30 +114,4 @@ fn reject_backpressure_errors_without_deadlock() {
     assert_eq!(queue.push(4), Err(PushError::Closed));
     assert_eq!(queue.pop_batch().unwrap(), vec![3]);
     assert_eq!(queue.pop_batch(), None);
-}
-
-#[test]
-fn serve_under_reject_drops_overflow_but_completes() {
-    let detector = small_detector();
-    let config = RuntimeConfig::builder()
-        .workers(2)
-        .chunk_rows(4)
-        .queue_capacity(1)
-        .batch_size(1)
-        .backpressure(Backpressure::Reject)
-        .build()
-        .unwrap();
-    let server = DetectionServer::new(Detector::default(), &detector, config).unwrap();
-    let ds = SynthDataset::new(SynthConfig::default());
-    let frames: Vec<_> = (0..6).map(|i| ds.test_scene(i).image.clone()).collect();
-    // With a one-slot queue and a fast feeder, some frames may be
-    // rejected — but serve() must terminate and account for every
-    // frame either way.
-    let results = server.serve(&frames);
-    assert_eq!(results.len(), frames.len());
-    let report = server.report(None);
-    let served = results.iter().filter(|r| r.is_some()).count() as u64;
-    assert_eq!(report.frames_served, served);
-    assert_eq!(report.frames_rejected, frames.len() as u64 - served);
-    assert!(served >= 1, "at least the first frame is always served");
 }

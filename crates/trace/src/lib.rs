@@ -92,8 +92,6 @@ pub mod stages {
     pub const COTRAIN_TRAIN: &str = "cotrain.train";
     /// One training epoch.
     pub const COTRAIN_EPOCH: &str = "cotrain.epoch";
-    /// Assembling one request batch in the serving runtime.
-    pub const RUNTIME_ASSEMBLE: &str = "runtime.assemble";
     /// One detection batch end to end.
     pub const RUNTIME_BATCH: &str = "runtime.batch";
     /// The pyramid stage of a batch.

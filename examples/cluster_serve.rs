@@ -10,7 +10,7 @@
 use pcnn::cluster::{arrivals, run_slo, Cluster, ClusterConfig, LoadProfile, SloBudget};
 use pcnn::core::{Extractor, PartitionedSystem, TrainSetConfig};
 use pcnn::hog::BlockNorm;
-use pcnn::runtime::{Backpressure, RuntimeConfig};
+use pcnn::runtime::Backpressure;
 use pcnn::store::CheckpointDir;
 use pcnn::vision::{GrayImage, SynthConfig, SynthDataset};
 
@@ -30,16 +30,13 @@ fn main() {
     let checkpoints = CheckpointDir::create(&dir).expect("create checkpoint dir");
     checkpoints.save(1, &detector.to_snapshot()).expect("save snapshot");
 
-    let config = ClusterConfig {
-        shards: 2,
-        router_seed: 7,
-        runtime: RuntimeConfig::builder()
-            .workers(2)
-            .backpressure(Backpressure::Block)
-            .build()
-            .expect("valid runtime config"),
-        ..ClusterConfig::default()
-    };
+    let config = ClusterConfig::builder()
+        .shards(2)
+        .router_seed(7)
+        .workers(2)
+        .backpressure(Backpressure::Block)
+        .build()
+        .expect("valid cluster config");
     let cluster = Cluster::warm_start(&checkpoints, config).expect("warm start from checkpoints");
     println!("warm-started {} shards from {}\n", config.shards, dir.display());
 

@@ -1,14 +1,15 @@
-//! Serving-throughput demo: push a stream of synthetic scenes through
-//! the batched detection runtime at several worker counts and print
-//! each run's `RuntimeReport`.
+//! Serving-throughput demo: push a batch of synthetic scenes through a
+//! one-shard cluster at several worker counts and print the shard's
+//! `RuntimeReport` after each run.
 //!
 //! ```text
 //! cargo run --release --example serve_throughput
 //! ```
 
-use pcnn::core::{Detector, Extractor, PartitionedSystem, TrainSetConfig};
+use pcnn::cluster::{Cluster, ClusterConfig, StreamFrame};
+use pcnn::core::{Extractor, PartitionedSystem, StreamId, TrainSetConfig};
 use pcnn::hog::BlockNorm;
-use pcnn::runtime::{Backpressure, DetectionServer, RuntimeConfig};
+use pcnn::runtime::Backpressure;
 use pcnn::vision::{SynthConfig, SynthDataset};
 use std::time::Instant;
 
@@ -23,28 +24,31 @@ fn main() {
         &dataset,
         TrainSetConfig { n_pos: 80, n_neg: 160, mining_scenes: 2, mining_rounds: 1 },
     );
+    let snapshot = detector.to_snapshot();
 
-    let frames: Vec<_> = (0..FRAMES as u64).map(|i| dataset.test_scene(i).image.clone()).collect();
+    let frames: Vec<StreamFrame> = (0..FRAMES as u64)
+        .map(|i| StreamFrame { stream: StreamId::new(i), image: dataset.test_scene(i).image })
+        .collect();
     println!(
-        "serving {FRAMES} synthetic scenes ({}x{} px)\n",
-        frames[0].width(),
-        frames[0].height()
+        "serving {FRAMES} synthetic scenes ({}x{} px) on one shard\n",
+        frames[0].image.width(),
+        frames[0].image.height()
     );
 
     let mut baseline_fps = 0.0;
     for workers in [1usize, 2, 4, 8] {
-        let config = RuntimeConfig::builder()
+        let config = ClusterConfig::builder()
+            .shards(1)
             .workers(workers)
             .chunk_rows(4)
             .queue_capacity(16)
             .batch_size(4)
             .backpressure(Backpressure::Block)
             .build()
-            .expect("valid runtime config");
-        let server = DetectionServer::new(Detector::default(), &detector, config)
-            .expect("valid server config");
+            .expect("valid cluster config");
+        let cluster = Cluster::new(&snapshot, config).expect("snapshot rebuilds");
         let start = Instant::now();
-        let results = server.serve(&frames);
+        let results = cluster.serve(&frames);
         let elapsed = start.elapsed();
 
         let detections: usize = results.iter().flatten().map(Vec::len).sum();
@@ -58,6 +62,6 @@ fn main() {
             fps,
             fps / baseline_fps
         );
-        println!("{}\n", server.report(None));
+        println!("{}\n", cluster.shards()[0].report());
     }
 }

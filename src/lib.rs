@@ -25,13 +25,14 @@
 //! * [`core`] — the partitioned co-training pipeline, paradigm comparison
 //!   and power/throughput models;
 //! * [`runtime`] — the parallel, batched detection-serving subsystem
-//!   (deterministic work scheduling, request batching with backpressure,
-//!   serving metrics, panic isolation, deadlines and retry, plus
-//!   temporal video streaming with change-driven cell caching);
+//!   (deterministic work scheduling, serving metrics, panic isolation,
+//!   plus temporal video streaming with change-driven cell caching);
 //! * [`cluster`] — the sharded, replicated serving tier over the
 //!   runtime: rendezvous stream routing, per-shard warm start from
-//!   checkpoints, blue/green model swap with drain, cluster-level load
-//!   shedding and a seeded open-loop SLO load harness;
+//!   checkpoints, blue/green model swap with drain, one supervised serve
+//!   loop (queueing with backpressure, load shedding, retries,
+//!   deadlines, stall detection) and a seeded open-loop SLO load
+//!   harness;
 //! * [`store`] — crash-safe persistence: a versioned, checksummed
 //!   envelope format with atomic-rename writes for trained detectors,
 //!   training checkpoints and simulator snapshots;
