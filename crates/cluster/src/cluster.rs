@@ -3,7 +3,7 @@
 //! blue/green swap.
 
 use crate::chaos::{ActiveChaos, ChaosAction, ChaosPlan};
-use crate::report::{ClusterReport, ShardReport};
+use crate::report::{ClusterReport, ShardReport, TraceSummary};
 use crate::router::ShardRouter;
 use crate::shard::{Shard, ShardModel};
 use pcnn_core::pipeline::{DetectorConfig, TrainedDetector};
@@ -686,12 +686,6 @@ impl Cluster {
         &self.shards
     }
 
-    /// A cheap, copyable control-plane handle for swaps, drains and
-    /// reports from another thread while `serve` runs.
-    pub fn handle(&self) -> ClusterHandle<'_> {
-        ClusterHandle { cluster: self }
-    }
-
     /// The shard currently serving `stream`.
     pub fn route(&self, stream: StreamId) -> u32 {
         self.lock_router().route(stream.raw())
@@ -966,10 +960,9 @@ impl Cluster {
             .collect();
         drop(router);
         let zero = Metrics::new().report(0, None);
-        let mut aggregate = shards.iter().fold(zero, |acc, s| acc.merge(&s.report));
-        // Per-shard trace summaries all snapshot the same process-global
-        // tracer; surface one fresh snapshot at the top level instead.
-        aggregate.trace = None;
+        let aggregate = shards.iter().fold(zero, |acc, s| acc.merge(&s.report));
+        let trace = pcnn_trace::profile_snapshot()
+            .map(|profile| TraceSummary::new(profile, aggregate.kernel_backend.clone()));
         ClusterReport {
             shards,
             aggregate,
@@ -981,7 +974,7 @@ impl Cluster {
             retries: self.retries.load(Ordering::Relaxed),
             deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
             stalls: self.stalls.load(Ordering::Relaxed),
-            trace: pcnn_trace::profile_snapshot().map(pcnn_runtime::TraceSummary::from),
+            trace,
         }
     }
 }
@@ -1290,47 +1283,5 @@ impl<R: Drain> ServeLoop<'_, '_, R> {
         for lane in &self.lanes {
             lane.queue.close();
         }
-    }
-}
-
-/// A copyable control-plane view of a [`Cluster`]: swap models, drain
-/// and restore shards, and snapshot reports — typically from a
-/// supervisor thread while the data plane serves.
-#[derive(Debug, Clone, Copy)]
-pub struct ClusterHandle<'c> {
-    cluster: &'c Cluster,
-}
-
-impl ClusterHandle<'_> {
-    /// See [`Cluster::swap_model`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Cluster::swap_model`].
-    pub fn swap_model(&self, snapshot: &DetectorSnapshot) -> Result<u64> {
-        self.cluster.swap_model(snapshot)
-    }
-
-    /// See [`Cluster::drain_shard`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Cluster::drain_shard`].
-    pub fn drain_shard(&self, shard: u32) -> Result<()> {
-        self.cluster.drain_shard(shard)
-    }
-
-    /// See [`Cluster::restore_shard`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Cluster::restore_shard`].
-    pub fn restore_shard(&self, shard: u32) -> Result<()> {
-        self.cluster.restore_shard(shard)
-    }
-
-    /// See [`Cluster::report`].
-    pub fn report(&self) -> ClusterReport {
-        self.cluster.report()
     }
 }

@@ -14,8 +14,8 @@
 //!   started from a [`pcnn_store`] snapshot), serving batches on its
 //!   own worker pool with install-time canary health probes feeding a
 //!   per-shard fallback floor;
-//! * [`cluster`] — [`Cluster`] / [`ClusterHandle`]: the data plane and
-//!   the control plane. The data plane is one supervised serve loop —
+//! * [`cluster`] — [`Cluster`]: the data plane and the control plane.
+//!   The data plane is one supervised serve loop —
 //!   a feeder routing frames to per-shard queues, one drainer per
 //!   shard, load shedding at the edge, per-frame retries under a
 //!   deadline, dead or stalled shards failed over and respawned warm —
@@ -25,11 +25,13 @@
 //!   caches and trackers) and the SLO harnesses. The control plane's
 //!   blue/green [`swap_model`] drains each shard — rolling or all at
 //!   once per [`SwapPolicy`] — with zero dropped frames and stream
-//!   caches invalidated at install;
+//!   caches invalidated at install. `&Cluster` is `Copy` and `Sync`, so
+//!   another thread can swap, drain or report while a serve runs;
 //! * [`chaos`] — seeded, scripted shard kills, stalls, frame failures
 //!   and checkpoint corruption for the supervised loop;
 //! * [`report`] — [`ClusterReport`]: every shard's
-//!   [`RuntimeReport`](pcnn_runtime::RuntimeReport) plus their merge;
+//!   [`RuntimeReport`](pcnn_runtime::RuntimeReport), their merge and
+//!   the live [`TraceSummary`] of the process-global tracer;
 //! * [`loadgen`] — seeded open-loop Poisson load and the SLO harnesses,
 //!   judging measured per-frame latency (completion minus due time)
 //!   against p50/p99 budgets.
@@ -67,10 +69,10 @@ pub mod shard;
 
 pub use chaos::{corrupt_newest_checkpoint, ChaosEvent, ChaosPlan};
 pub use cluster::{
-    Cluster, ClusterConfig, ClusterConfigBuilder, ClusterHandle, StreamFrame, StreamOutcome,
-    SupervisionConfig, SwapPolicy,
+    Cluster, ClusterConfig, ClusterConfigBuilder, StreamFrame, StreamOutcome, SupervisionConfig,
+    SwapPolicy,
 };
 pub use loadgen::{arrivals, run_slo, run_stream_slo, Arrival, LoadProfile, SloBudget, SloReport};
-pub use report::{ClusterReport, ShardReport};
+pub use report::{ClusterReport, ShardReport, StageSummary, TraceSummary};
 pub use router::ShardRouter;
 pub use shard::{Shard, ShardModel};

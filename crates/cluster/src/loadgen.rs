@@ -14,15 +14,15 @@
 //! due time is the scheduled arrival under [`run_slo`], and the serve
 //! start under [`run_stream_slo`], which offers every frame at once —
 //! so queueing behind a stream's earlier frames, stalls, failover and
-//! respawn all land in the samples. The reported p50/p99 are order
-//! statistics of the samples themselves; the samples are also recorded
-//! in the fixed-bucket [`Histogram`] the runtime uses, whose buckets
-//! merge with a [`RuntimeReport`](pcnn_runtime::RuntimeReport)'s but are
-//! too wide (one spans 100–500 ms) to resolve a failover.
+//! respawn all land in the samples. The samples go into the runtime's
+//! one latency [`Histogram`], the type of a
+//! [`RuntimeReport`](pcnn_runtime::RuntimeReport)'s batch latency too,
+//! and the reported p50/p99 are its nearest-rank quantiles: never below
+//! the exact sample at that rank, and at most 1/64 above it.
 
 use crate::chaos::ChaosPlan;
 use crate::cluster::{Cluster, StreamFrame, StreamOutcome};
-use pcnn_runtime::{Histogram, HistogramReport, StreamFrameResult, LATENCY_BOUNDS_US};
+use pcnn_runtime::{Histogram, StreamFrameResult};
 use pcnn_vision::{Detection, GrayImage};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -115,15 +115,12 @@ pub struct SloReport {
     pub wall_s: f64,
     /// Served throughput in frames per second.
     pub throughput_fps: f64,
-    /// Measured median latency (µs): the nearest-rank order statistic
-    /// of the per-frame samples.
+    /// Measured median latency (µs): `latency.p50()`.
     pub p50_us: Option<u64>,
-    /// Measured 99th-percentile latency (µs), nearest rank.
+    /// Measured 99th-percentile latency (µs): `latency.p99()`.
     pub p99_us: Option<u64>,
-    /// The per-frame latency samples, one per served frame, in the
-    /// runtime's fixed buckets (mergeable with a
-    /// [`RuntimeReport`](pcnn_runtime::RuntimeReport)'s histograms).
-    pub latency: HistogramReport,
+    /// The per-frame latency samples in µs, one per served frame.
+    pub latency: Histogram,
     /// The budgets the run was judged against.
     pub budget: SloBudget,
     /// Whether every budget held.
@@ -210,32 +207,22 @@ fn judge<R>(
     wall_s: f64,
     budget: SloBudget,
 ) -> SloReport {
-    let latency = Histogram::new(&LATENCY_BOUNDS_US);
-    let mut samples = Vec::new();
+    let mut latency = Histogram::default();
     let [mut shed, mut deadline_exceeded, mut retried_served] = [0u64; 3];
     for (i, (outcome, done)) in outcomes.iter().enumerate() {
         match outcome {
             StreamOutcome::Served { attempts, .. } => {
                 retried_served += u64::from(*attempts > 1);
                 let due = due_us.get(i).copied().unwrap_or(0);
-                let sample = (done.as_micros() as u64).saturating_sub(due);
-                latency.record(sample);
-                samples.push(sample);
+                latency.record((done.as_micros() as u64).saturating_sub(due));
             }
             StreamOutcome::Shed => shed += 1,
             StreamOutcome::DeadlineExceeded => deadline_exceeded += 1,
             StreamOutcome::Failed { .. } => {}
         }
     }
-    // Nearest-rank order statistics of the samples themselves: one
-    // histogram bucket spans 100–500 ms, too wide to tell a failover
-    // from a clean run.
-    samples.sort_unstable();
-    let rank = |q: f64| {
-        samples.get(((q * samples.len() as f64).ceil() as usize).saturating_sub(1)).copied()
-    };
-    let (p50_us, p99_us) = (rank(0.50), rank(0.99));
-    let (offered, served) = (outcomes.len() as u64, samples.len() as u64);
+    let (p50_us, p99_us) = (latency.p50(), latency.p99());
+    let (offered, served) = (outcomes.len() as u64, latency.total());
     // Every frame the tier failed to serve counts against the loss
     // budget, whether it was shed outright or timed out.
     let lost_ppm = ((shed + deadline_exceeded) * 1_000_000).checked_div(offered).unwrap_or(0);
@@ -252,7 +239,7 @@ fn judge<R>(
         throughput_fps: if wall_s > 0.0 { served as f64 / wall_s } else { 0.0 },
         p50_us,
         p99_us,
-        latency: latency.snapshot(),
+        latency,
         budget,
         pass,
     }

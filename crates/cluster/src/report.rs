@@ -1,7 +1,7 @@
 //! Cluster-level observability: per-shard reports plus their merged
 //! aggregate, serializable for dashboards and the SLO harness.
 
-use pcnn_runtime::{RuntimeReport, TraceSummary};
+use pcnn_runtime::RuntimeReport;
 use serde::{Deserialize, Serialize};
 
 /// One shard's slice of a [`ClusterReport`].
@@ -26,8 +26,8 @@ pub struct ClusterReport {
     pub shards: Vec<ShardReport>,
     /// Every shard report merged through
     /// [`RuntimeReport::merge`]: counters summed, latency histograms
-    /// combined bucket-wise, `workers` totalling the threads serving
-    /// across the tier.
+    /// combined bucket by bucket, `workers` totalling the threads
+    /// serving across the tier.
     pub aggregate: RuntimeReport,
     /// Frames submitted to the tier: every frame a serve call offered,
     /// shed ones included, plus every `detect` and `detect_stream`
@@ -57,9 +57,73 @@ pub struct ClusterReport {
     pub stalls: u64,
     /// Live per-stage tracing statistics, when a `pcnn_trace` tracer is
     /// installed (spans from every shard land in the same process-global
-    /// tracer, so this is the tier-wide view).
+    /// tracer, so this is the tier-wide view). The trace spans are the
+    /// only record of per-stage wall time, and this is the only report
+    /// field that carries them.
     #[serde(default)]
     pub trace: Option<TraceSummary>,
+}
+
+/// Per-stage tracing statistics in a [`ClusterReport`]: a serializable
+/// mirror of [`pcnn_trace::ProfileReport`] (the trace crate itself stays
+/// dependency-free, so the serde derives live here).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct TraceSummary {
+    /// The kernel path and SIMD tier the traced spans ran on, e.g.
+    /// `"trinary+avx2"` or `"f32+scalar"` (see
+    /// [`RuntimeReport::kernel_backend`]).
+    #[serde(default)]
+    pub kernel_backend: String,
+    /// One entry per traced stage, sorted by descending total duration.
+    pub stages: Vec<StageSummary>,
+}
+
+/// One traced stage's aggregate timings in a [`TraceSummary`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct StageSummary {
+    /// The stage's span name, e.g. `"runtime.batch"`.
+    pub name: String,
+    /// Spans recorded.
+    pub count: u64,
+    /// Summed duration in nanoseconds.
+    pub total_ns: u64,
+    /// Shortest span in nanoseconds.
+    pub min_ns: u64,
+    /// Longest span in nanoseconds.
+    pub max_ns: u64,
+    /// Exact median duration in nanoseconds.
+    pub p50_ns: u64,
+    /// Exact 99th-percentile duration in nanoseconds.
+    pub p99_ns: u64,
+    /// Counter totals as `(snake_case name, value)` pairs.
+    pub counters: Vec<(String, u64)>,
+}
+
+impl TraceSummary {
+    /// Mirrors `report`, tagged with the kernel path its spans ran on.
+    pub(crate) fn new(report: pcnn_trace::ProfileReport, kernel_backend: String) -> Self {
+        TraceSummary {
+            kernel_backend,
+            stages: report
+                .stages
+                .into_iter()
+                .map(|s| StageSummary {
+                    name: s.name.to_owned(),
+                    count: s.count,
+                    total_ns: s.total_ns,
+                    min_ns: s.min_ns,
+                    max_ns: s.max_ns,
+                    p50_ns: s.p50_ns,
+                    p99_ns: s.p99_ns,
+                    counters: s
+                        .counters
+                        .into_iter()
+                        .map(|(c, v)| (c.name().to_owned(), v))
+                        .collect(),
+                })
+                .collect(),
+        }
+    }
 }
 
 impl ClusterReport {
@@ -145,6 +209,20 @@ impl std::fmt::Display for ClusterReport {
                 "  degradation: {} batches / {} frames on the fallback floor",
                 self.aggregate.degraded_batches, self.aggregate.degraded_frames
             )?;
+        }
+        if let Some(trace) = &self.trace {
+            writeln!(f, "  trace: {} stages", trace.stages.len())?;
+            for stage in &trace.stages {
+                writeln!(
+                    f,
+                    "    {:<20} {:>8} spans  total {:>10.3}ms  p50 {:>8.3}ms  p99 {:>8.3}ms",
+                    stage.name,
+                    stage.count,
+                    stage.total_ns as f64 / 1e6,
+                    stage.p50_ns as f64 / 1e6,
+                    stage.p99_ns as f64 / 1e6,
+                )?;
+            }
         }
         Ok(())
     }

@@ -196,20 +196,6 @@ fn stream_slo_latency_is_measured() {
     let slo = run_stream_slo(&cluster, &frames, BUDGET, Some(&plan));
     assert_eq!(slo.served, frames.len() as u64, "Block serves every frame");
     assert_eq!(slo.latency.total(), slo.served, "one sample per served frame");
-    let above_500ms: u64 = slo
-        .latency
-        .bounds_us
-        .iter()
-        .zip(&slo.latency.counts)
-        .filter(|(&bound, _)| bound > 500_000)
-        .map(|(_, &count)| count)
-        .sum::<u64>()
-        + slo.latency.overflow();
-    assert!(
-        above_500ms >= 1,
-        "frames queued behind an 800 ms stall must show it: {:?}",
-        slo.latency
-    );
     // The stalled frame completes at least 800 ms after the start.
     assert!(slo.p99_us.is_some_and(|p99| p99 >= 800_000), "{slo}");
     assert_eq!(cluster.report().stalls, 0, "the stall is under the watchdog threshold");

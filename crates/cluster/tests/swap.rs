@@ -67,13 +67,12 @@ fn mid_stream_swap_serves_every_frame_exactly_once() {
     assert_ne!(blue_ref, green_ref, "blue and green must be distinguishable for this test");
 
     let cluster = Cluster::new(&blue_snap, cluster_config(2, 2)).unwrap();
-    let handle = cluster.handle();
     let results = std::thread::scope(|scope| {
         let swapper = scope.spawn(|| {
             // Land the swap somewhere inside the serve; correctness below
             // does not depend on where.
             std::thread::sleep(Duration::from_millis(20));
-            handle.swap_model(&green_snap).unwrap()
+            cluster.swap_model(&green_snap).unwrap()
         });
         let results = cluster.serve(&frames);
         assert_eq!(swapper.join().unwrap(), 1, "first swap installs generation 1");

@@ -7,11 +7,13 @@
 //!   items executed on a fixed pool of scoped threads, with results
 //!   merged in scan order so parallel output is **bit-identical** to
 //!   the serial path at any worker count;
-//! * [`metrics`] — lock-free serving counters (frames served, windows
-//!   scored, per-stage wall time, latency histogram, caught panics)
-//!   snapshotted into a serializable [`RuntimeReport`], with the
-//!   neurosynaptic simulator's [`SystemStats`](pcnn_truenorth::SystemStats)
-//!   threaded through;
+//! * [`metrics`] — serving counters (frames served, windows scored,
+//!   caught panics) and the batch-latency [`Histogram`], the log-linear
+//!   histogram every serving latency uses (at most 1/64 wide per bucket,
+//!   merging bucket by bucket), snapshotted into a serializable
+//!   [`RuntimeReport`] with the neurosynaptic simulator's
+//!   [`SystemStats`](pcnn_truenorth::SystemStats) threaded through.
+//!   Per-stage wall time lives only in the `runtime.*` trace spans;
 //! * [`server`] — [`DetectionServer`], the staged pipeline plus the
 //!   counters it feeds: one pipeline over (frame, [`CellCache`]) pairs —
 //!   cache probe, pyramid, cells, classify, NMS — that a batch runs
@@ -105,10 +107,7 @@ pub mod supervise;
 pub use cache::{CacheStats, CellCache, LevelCache};
 pub use chaos::PanicInjector;
 pub use degrade::{canary_reference, FallbackChain, ServiceLevel, DEFAULT_PROBE_TOLERANCE};
-pub use metrics::{
-    Histogram, HistogramReport, LevelReport, Metrics, RuntimeReport, Stage, StageSummary,
-    StageTimes, TraceSummary, LATENCY_BOUNDS_US,
-};
+pub use metrics::{Histogram, LevelReport, Metrics, RuntimeReport};
 pub use queue::{Backpressure, PushError, QueueConfig, RequestQueue};
 pub use scheduler::{parallel_map, plan_chunks, try_parallel_map, Chunk, WorkerPanic};
 pub use server::{DetectionServer, RuntimeConfig, RuntimeConfigBuilder};

@@ -1,163 +1,111 @@
-//! Serving metrics: lock-free counters, per-stage wall time and latency
-//! histograms, snapshotted into a serializable [`RuntimeReport`].
+//! Serving metrics: atomic counters and one mergeable latency
+//! [`Histogram`], snapshotted into a serializable [`RuntimeReport`].
+//!
+//! Stage wall time is not counted here: the `runtime.*` trace spans
+//! (`pcnn_trace::stages`) are its only record.
 
 use pcnn_truenorth::SystemStats;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
-/// Upper bounds (µs, inclusive) of the latency histogram buckets. All
-/// bounds are finite; samples above the last bound land in the
-/// histogram's explicit overflow bucket.
-pub const LATENCY_BOUNDS_US: [u64; 7] = [100, 1_000, 5_000, 25_000, 100_000, 500_000, 2_000_000];
+/// Sub-buckets per power of two is `2^SUB_BITS`: every bucket is at
+/// most 1/64 of its lower edge wide, and values below 128 get a bucket
+/// each.
+const SUB_BITS: u32 = 6;
 
-/// A fixed-bucket histogram over `u64` samples, updatable from many
-/// threads without locking.
-#[derive(Debug)]
+/// The bucket holding `u64::MAX`, the last one.
+const LAST_BUCKET: u32 = bucket_of(u64::MAX);
+
+/// A log-linear (HDR-style) histogram over `u64` samples, the one
+/// latency histogram of the serving tier: 64 sub-buckets per power of
+/// two, each at most 1/64 (1.6%) of its lower edge wide across all of
+/// `u64`, so no sample overflows. Two histograms merge exactly, bucket
+/// by bucket.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Histogram {
-    bounds: &'static [u64],
-    /// One count per bound plus a trailing overflow bucket, so samples
-    /// above every bound are counted distinctly instead of being
-    /// clamped into the last bounded bucket.
-    counts: Vec<AtomicU64>,
+    /// `(bucket, count)` for every non-empty bucket, ascending.
+    buckets: Vec<(u32, u64)>,
 }
 
 impl Histogram {
-    /// A histogram with the given finite inclusive upper bounds; an
-    /// overflow bucket is added automatically for samples above the
-    /// last bound.
-    pub fn new(bounds: &'static [u64]) -> Self {
-        Histogram { bounds, counts: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect() }
-    }
-
     /// Records one sample.
-    pub fn record(&self, value: u64) {
-        let idx = self.bounds.iter().position(|&b| value <= b).unwrap_or(self.bounds.len());
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
+    pub fn record(&mut self, value: u64) {
+        self.add(bucket_of(value), 1);
     }
 
-    /// Samples recorded above the last bound.
-    pub fn overflow(&self) -> u64 {
-        self.counts[self.bounds.len()].load(Ordering::Relaxed)
-    }
-
-    /// Snapshots the histogram.
-    pub fn snapshot(&self) -> HistogramReport {
-        HistogramReport {
-            bounds_us: self.bounds.to_vec(),
-            counts: self.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-        }
-    }
-}
-
-/// A point-in-time copy of a [`Histogram`]. `counts` has one entry per
-/// bound plus a trailing overflow bucket.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HistogramReport {
-    /// Inclusive bucket upper bounds in microseconds.
-    pub bounds_us: Vec<u64>,
-    /// Sample count per bucket; the final entry counts samples above
-    /// every bound.
-    pub counts: Vec<u64>,
-}
-
-impl HistogramReport {
     /// Total number of recorded samples.
     pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
+        self.buckets.iter().map(|&(_, count)| count).sum()
     }
 
-    /// Samples recorded above the last bound.
-    pub fn overflow(&self) -> u64 {
-        if self.counts.len() > self.bounds_us.len() {
-            self.counts[self.bounds_us.len()..].iter().sum()
-        } else {
-            0
+    /// The histogram of both sample sets: bucket counts add.
+    pub fn merge(&self, other: &Histogram) -> Histogram {
+        let mut merged = self.clone();
+        for &(bucket, count) in &other.buckets {
+            merged.add(bucket, count);
         }
+        merged
     }
 
-    /// Estimates the `q`-quantile in microseconds by interpolating
-    /// within the bucket containing the target rank (each sample is
-    /// treated as sitting at the centre of its slot, which removes the
-    /// low bias of snapping to a bucket edge). Returns `None` for an
-    /// empty histogram; overflow-bucket ranks saturate at the last
-    /// bound. Delegates to [`pcnn_trace::quantile_from_buckets`], so
-    /// the runtime and the tracer report identical estimates for
-    /// identical buckets.
+    /// The nearest-rank `q`-quantile: the largest value of the bucket
+    /// holding rank `ceil(q * total)`. It is never below the exact
+    /// sample at that rank and at most 1/64 above it. `None` when the
+    /// histogram is empty.
     pub fn quantile(&self, q: f64) -> Option<u64> {
-        pcnn_trace::quantile_from_buckets(&self.bounds_us, &self.counts, q)
+        let total = self.total();
+        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1).min(total);
+        let mut seen = 0;
+        self.buckets.iter().find_map(|&(bucket, count)| {
+            seen += count;
+            (seen >= rank).then(|| bucket_max(bucket))
+        })
     }
 
-    /// Median latency estimate in microseconds.
+    /// Median estimate.
     pub fn p50(&self) -> Option<u64> {
         self.quantile(0.50)
     }
 
-    /// 99th-percentile latency estimate in microseconds.
+    /// 99th-percentile estimate.
     pub fn p99(&self) -> Option<u64> {
         self.quantile(0.99)
     }
 
-    /// Combines two histograms bucket-wise, overflow included.
-    ///
-    /// Histograms sharing bucket bounds (every histogram this runtime
-    /// produces uses [`LATENCY_BOUNDS_US`]) merge exactly: each bucket
-    /// count — and the trailing overflow bucket — is the sum of the two
-    /// inputs. An empty histogram is the identity. When the bound
-    /// vectors differ, `other`'s buckets are folded in positionally and
-    /// any counts beyond this histogram's buckets land in the overflow
-    /// bucket, so no sample is ever lost in a merge.
-    pub fn merge(&self, other: &HistogramReport) -> HistogramReport {
-        if self.counts.iter().all(|&c| c == 0) && self.bounds_us.is_empty() {
-            return other.clone();
+    fn add(&mut self, bucket: u32, count: u64) {
+        match self.buckets.binary_search_by_key(&bucket, |&(b, _)| b) {
+            Ok(i) => self.buckets[i].1 += count,
+            Err(i) => self.buckets.insert(i, (bucket, count)),
         }
-        let bounds_us = self.bounds_us.clone();
-        let slots = bounds_us.len() + 1;
-        let mut counts = vec![0u64; slots];
-        for (i, &c) in self.counts.iter().enumerate() {
-            counts[i.min(slots - 1)] += c;
-        }
-        for (i, &c) in other.counts.iter().enumerate() {
-            // Positional merge: matching bounds line up exactly, and a
-            // longer input folds its tail into the overflow bucket.
-            counts[i.min(slots - 1)] += c;
-        }
-        HistogramReport { bounds_us, counts }
     }
 }
 
-/// Wall time spent in each pipeline stage, summed over all batches.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct StageTimes {
-    /// Scale-pyramid construction.
-    pub pyramid_ms: f64,
-    /// Cell-histogram grids.
-    pub cells_ms: f64,
-    /// Window assembly and classification.
-    pub classify_ms: f64,
-    /// Per-frame merge and non-maximum suppression.
-    pub nms_ms: f64,
+/// The bucket holding `value`. Values below `2^(SUB_BITS + 1)` are
+/// their own bucket; above, each power of two splits into `2^SUB_BITS`
+/// buckets `2^shift` wide.
+const fn bucket_of(value: u64) -> u32 {
+    let shift = (u64::BITS - value.leading_zeros()).saturating_sub(SUB_BITS + 1);
+    ((shift as u64) << SUB_BITS) as u32 + (value >> shift) as u32
 }
 
-impl StageTimes {
-    /// Total stage time.
-    pub fn total_ms(&self) -> f64 {
-        self.pyramid_ms + self.cells_ms + self.classify_ms + self.nms_ms
-    }
+/// The largest value that lands in `bucket`; a bucket past the last
+/// (only a malformed document holds one) reads as the last.
+fn bucket_max(bucket: u32) -> u64 {
+    let bucket = u64::from(bucket.min(LAST_BUCKET));
+    let shift = (bucket >> SUB_BITS).saturating_sub(1);
+    ((bucket - (shift << SUB_BITS)) << shift) + ((1 << shift) - 1)
 }
 
-/// Live counters for one serving runtime. All updates are atomic, so a
-/// shared `&Metrics` can be fed from every worker thread.
+/// Live counters for one serving runtime, fed through a shared
+/// `&Metrics` from every worker thread: counters are atomics, and the
+/// latency histogram sits behind a mutex taken once per batch.
 #[derive(Debug)]
 pub struct Metrics {
     frames_served: AtomicU64,
     windows_scored: AtomicU64,
     batches: AtomicU64,
-    stage_pyramid_ns: AtomicU64,
-    stage_cells_ns: AtomicU64,
-    stage_classify_ns: AtomicU64,
-    stage_nms_ns: AtomicU64,
-    batch_latency_us: Histogram,
+    batch_latency_us: Mutex<Histogram>,
     degraded_batches: AtomicU64,
     degraded_frames: AtomicU64,
     health_failures: AtomicU64,
@@ -174,19 +122,6 @@ impl Default for Metrics {
     }
 }
 
-/// The four timed pipeline stages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
-    /// Scale-pyramid construction.
-    Pyramid,
-    /// Cell-histogram grids.
-    Cells,
-    /// Window assembly and classification.
-    Classify,
-    /// Merge + non-maximum suppression.
-    Nms,
-}
-
 impl Metrics {
     /// Fresh, all-zero metrics with no service-level counters.
     pub fn new() -> Self {
@@ -199,11 +134,7 @@ impl Metrics {
             frames_served: AtomicU64::new(0),
             windows_scored: AtomicU64::new(0),
             batches: AtomicU64::new(0),
-            stage_pyramid_ns: AtomicU64::new(0),
-            stage_cells_ns: AtomicU64::new(0),
-            stage_classify_ns: AtomicU64::new(0),
-            stage_nms_ns: AtomicU64::new(0),
-            batch_latency_us: Histogram::new(&LATENCY_BOUNDS_US),
+            batch_latency_us: Mutex::default(),
             degraded_batches: AtomicU64::new(0),
             degraded_frames: AtomicU64::new(0),
             health_failures: AtomicU64::new(0),
@@ -228,7 +159,13 @@ impl Metrics {
     /// Counts one completed batch and its wall time.
     pub fn add_batch(&self, latency: Duration) {
         self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batch_latency_us.record(latency.as_micros() as u64);
+        self.latency().record(latency.as_micros() as u64);
+    }
+
+    /// The batch-latency histogram. A panic cannot leave it half
+    /// updated, so a poisoned lock is recovered.
+    fn latency(&self) -> std::sync::MutexGuard<'_, Histogram> {
+        self.batch_latency_us.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Counts one batch served below the primary service level, covering
@@ -278,35 +215,16 @@ impl Metrics {
         self.tracks_active.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds wall time to one pipeline stage.
-    pub fn add_stage(&self, stage: Stage, elapsed: Duration) {
-        let ns = elapsed.as_nanos() as u64;
-        let counter = match stage {
-            Stage::Pyramid => &self.stage_pyramid_ns,
-            Stage::Cells => &self.stage_cells_ns,
-            Stage::Classify => &self.stage_classify_ns,
-            Stage::Nms => &self.stage_nms_ns,
-        };
-        counter.fetch_add(ns, Ordering::Relaxed);
-    }
-
     /// Snapshots every counter into a serializable report. `workers` is
     /// echoed into the report; `system` carries simulator counters when
     /// the detector runs on the TrueNorth substrate.
     pub fn report(&self, workers: usize, system: Option<SystemStats>) -> RuntimeReport {
-        let ms = |ns: &AtomicU64| ns.load(Ordering::Relaxed) as f64 / 1e6;
         RuntimeReport {
             workers,
             frames_served: self.frames_served.load(Ordering::Relaxed),
             windows_scored: self.windows_scored.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
-            stage: StageTimes {
-                pyramid_ms: ms(&self.stage_pyramid_ns),
-                cells_ms: ms(&self.stage_cells_ns),
-                classify_ms: ms(&self.stage_classify_ns),
-                nms_ms: ms(&self.stage_nms_ns),
-            },
-            batch_latency: self.batch_latency_us.snapshot(),
+            batch_latency: self.latency().clone(),
             degraded_batches: self.degraded_batches.load(Ordering::Relaxed),
             degraded_frames: self.degraded_frames.load(Ordering::Relaxed),
             health_failures: self.health_failures.load(Ordering::Relaxed),
@@ -317,69 +235,6 @@ impl Metrics {
             tracks_active: self.tracks_active.load(Ordering::Relaxed),
             kernel_backend: pcnn_kernels::backend_summary(),
             system,
-            trace: None,
-        }
-    }
-}
-
-/// Per-stage tracing statistics surfaced in a [`RuntimeReport`] when a
-/// `pcnn_trace` tracer is installed. A serializable mirror of
-/// [`pcnn_trace::ProfileReport`] (the trace crate itself stays
-/// dependency-free, so the serde derives live here).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TraceSummary {
-    /// The kernel path and SIMD tier the traced spans ran on, e.g.
-    /// `"trinary+avx2"` or `"f32+scalar"` (see
-    /// [`pcnn_kernels::backend_summary`]).
-    #[serde(default)]
-    pub kernel_backend: String,
-    /// One entry per traced stage, sorted by descending total duration.
-    pub stages: Vec<StageSummary>,
-}
-
-/// One traced stage's aggregate timings in a [`TraceSummary`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StageSummary {
-    /// The stage's span name, e.g. `"runtime.batch"`.
-    pub name: String,
-    /// Spans recorded.
-    pub count: u64,
-    /// Summed duration in nanoseconds.
-    pub total_ns: u64,
-    /// Shortest span in nanoseconds.
-    pub min_ns: u64,
-    /// Longest span in nanoseconds.
-    pub max_ns: u64,
-    /// Exact median duration in nanoseconds.
-    pub p50_ns: u64,
-    /// Exact 99th-percentile duration in nanoseconds.
-    pub p99_ns: u64,
-    /// Counter totals as `(snake_case name, value)` pairs.
-    pub counters: Vec<(String, u64)>,
-}
-
-impl From<pcnn_trace::ProfileReport> for TraceSummary {
-    fn from(report: pcnn_trace::ProfileReport) -> Self {
-        TraceSummary {
-            kernel_backend: pcnn_kernels::backend_summary(),
-            stages: report
-                .stages
-                .into_iter()
-                .map(|s| StageSummary {
-                    name: s.name.to_owned(),
-                    count: s.count,
-                    total_ns: s.total_ns,
-                    min_ns: s.min_ns,
-                    max_ns: s.max_ns,
-                    p50_ns: s.p50_ns,
-                    p99_ns: s.p99_ns,
-                    counters: s
-                        .counters
-                        .into_iter()
-                        .map(|(c, v)| (c.name().to_owned(), v))
-                        .collect(),
-                })
-                .collect(),
         }
     }
 }
@@ -405,10 +260,8 @@ pub struct RuntimeReport {
     pub windows_scored: u64,
     /// Batches executed.
     pub batches: u64,
-    /// Per-stage wall time, summed over batches.
-    pub stage: StageTimes,
-    /// Batch wall-time histogram.
-    pub batch_latency: HistogramReport,
+    /// Batch wall time in microseconds, one sample per batch.
+    pub batch_latency: Histogram,
     /// Batches served below the primary fallback-chain level.
     #[serde(default)]
     pub degraded_batches: u64,
@@ -443,24 +296,15 @@ pub struct RuntimeReport {
     /// Neurosynaptic-simulator counters, when the extractor or
     /// classifier runs on the simulated TrueNorth substrate.
     pub system: Option<SystemStats>,
-    /// Per-stage tracing statistics, when a `pcnn_trace` tracer was
-    /// installed while the server ran.
-    #[serde(default)]
-    pub trace: Option<TraceSummary>,
 }
 
 impl RuntimeReport {
     /// Combines two reports into one, the primitive a cluster-level
-    /// aggregate is built from: counters sum, per-stage wall times sum,
-    /// latency histograms merge bucket-wise (overflow included, via
-    /// [`HistogramReport::merge`]), per-level batch counts merge by
-    /// label, and simulator counters sum
-    /// field-wise when both sides carry them. `workers` sums, so an
-    /// aggregate over shards reports the total worker threads serving.
-    ///
-    /// Trace summaries hold non-mergeable quantiles, so the merged
-    /// report keeps `self`'s summary when present and falls back to
-    /// `other`'s (both snapshot the same process-global tracer anyway).
+    /// aggregate is built from: counters sum, latency histograms merge
+    /// bucket by bucket ([`Histogram::merge`]), per-level batch counts
+    /// merge by label, and simulator counters sum field-wise when both
+    /// sides carry them. `workers` sums, so an aggregate over shards
+    /// reports the total worker threads serving.
     ///
     /// A fresh all-zero report is the identity: `zero.merge(&r)` equals
     /// `r` in every counter.
@@ -487,12 +331,6 @@ impl RuntimeReport {
             frames_served: self.frames_served + other.frames_served,
             windows_scored: self.windows_scored + other.windows_scored,
             batches: self.batches + other.batches,
-            stage: StageTimes {
-                pyramid_ms: self.stage.pyramid_ms + other.stage.pyramid_ms,
-                cells_ms: self.stage.cells_ms + other.stage.cells_ms,
-                classify_ms: self.stage.classify_ms + other.stage.classify_ms,
-                nms_ms: self.stage.nms_ms + other.stage.nms_ms,
-            },
             batch_latency: self.batch_latency.merge(&other.batch_latency),
             degraded_batches: self.degraded_batches + other.degraded_batches,
             degraded_frames: self.degraded_frames + other.degraded_frames,
@@ -508,7 +346,6 @@ impl RuntimeReport {
                 self.kernel_backend.clone()
             },
             system,
-            trace: self.trace.clone().or_else(|| other.trace.clone()),
         }
     }
 }
@@ -521,23 +358,13 @@ impl std::fmt::Display for RuntimeReport {
         if !self.kernel_backend.is_empty() {
             writeln!(f, "  kernel backend: {}", self.kernel_backend)?;
         }
-        writeln!(
+        let ms = |us: Option<u64>| us.map_or(f64::NAN, |us| us as f64 / 1e3);
+        write!(
             f,
-            "  stage ms: pyramid {:>9.2}  cells {:>9.2}  classify {:>9.2}  nms {:>7.2}",
-            self.stage.pyramid_ms, self.stage.cells_ms, self.stage.classify_ms, self.stage.nms_ms
+            "  batch latency: p50 {:.2}ms  p99 {:.2}ms",
+            ms(self.batch_latency.p50()),
+            ms(self.batch_latency.p99())
         )?;
-        write!(f, "  batch latency:")?;
-        for (bound, count) in self.batch_latency.bounds_us.iter().zip(&self.batch_latency.counts) {
-            if *count == 0 {
-                continue;
-            }
-            write!(f, "  <={}ms:{count}", bound / 1000)?;
-        }
-        let overflow = self.batch_latency.overflow();
-        if overflow > 0 {
-            let last = self.batch_latency.bounds_us.last().copied().unwrap_or(0);
-            write!(f, "  >{}ms:{overflow}", last / 1000)?;
-        }
         if self.panics_caught > 0 {
             writeln!(f)?;
             write!(f, "  supervision: {} panics caught", self.panics_caught)?;
@@ -577,22 +404,6 @@ impl std::fmt::Display for RuntimeReport {
                 s.ticks, s.routed_spikes, s.synaptic_events
             )?;
         }
-        if let Some(trace) = &self.trace {
-            writeln!(f)?;
-            write!(f, "  trace: {} stages", trace.stages.len())?;
-            for stage in &trace.stages {
-                writeln!(f)?;
-                write!(
-                    f,
-                    "    {:<20} {:>8} spans  total {:>10.3}ms  p50 {:>8.3}ms  p99 {:>8.3}ms",
-                    stage.name,
-                    stage.count,
-                    stage.total_ns as f64 / 1e6,
-                    stage.p50_ns as f64 / 1e6,
-                    stage.p99_ns as f64 / 1e6,
-                )?;
-            }
-        }
         Ok(())
     }
 }
@@ -602,71 +413,61 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_buckets_samples() {
-        let h = Histogram::new(&LATENCY_BOUNDS_US);
-        h.record(0);
-        h.record(100);
-        h.record(101);
-        h.record(u64::MAX);
-        let snap = h.snapshot();
-        assert_eq!(snap.counts[0], 2);
-        assert_eq!(snap.counts[1], 1);
-        assert_eq!(*snap.counts.last().unwrap(), 1);
-        assert_eq!(snap.total(), 4);
-    }
-
-    #[test]
-    fn quantile_of_empty_histogram_is_none() {
-        let snap = Histogram::new(&LATENCY_BOUNDS_US).snapshot();
-        assert_eq!(snap.p50(), None);
-        assert_eq!(snap.p99(), None);
-        assert_eq!(snap.quantile(0.0), None);
-    }
-
-    #[test]
-    fn quantile_of_single_sample_lands_in_its_bucket() {
-        let h = Histogram::new(&LATENCY_BOUNDS_US);
-        h.record(400); // bucket (100, 1000]
-        let snap = h.snapshot();
-        // One sample: every quantile is the same centred estimate.
-        let p50 = snap.p50().unwrap();
-        assert_eq!(p50, snap.p99().unwrap());
-        assert!(p50 > 100 && p50 <= 1_000, "estimate {p50} inside the sample's bucket");
-    }
-
-    #[test]
-    fn quantile_all_overflow_saturates_at_last_bound() {
-        let h = Histogram::new(&LATENCY_BOUNDS_US);
-        for _ in 0..5 {
-            h.record(u64::MAX);
+    fn quantiles_are_within_one_sixty_fourth_above_the_exact_rank() {
+        // 5000 samples log-spaced over nine decades (1 to 1e9), each
+        // nudged off the grid, plus both ends of the one-bucket-per-value
+        // range and u64::MAX.
+        let mut samples: Vec<u64> = (0..5000u32)
+            .map(|i| {
+                let x = 10f64.powf(9.0 * f64::from(i) / 5000.0);
+                (x * (1.0 + f64::from(i % 7) / 10.0)) as u64
+            })
+            .collect();
+        samples.extend([0, 127, 128, u64::MAX]);
+        let mut h = Histogram::default();
+        for &sample in &samples {
+            h.record(sample);
         }
-        let snap = h.snapshot();
-        let last = *LATENCY_BOUNDS_US.last().unwrap();
-        assert_eq!(snap.p50(), Some(last));
-        assert_eq!(snap.p99(), Some(last));
+        samples.sort_unstable();
+        assert_eq!(h.total(), samples.len() as u64);
+        for q in [0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            let rank = ((q * samples.len() as f64).ceil() as usize).max(1);
+            let exact = samples[rank - 1];
+            let estimate = h.quantile(q).expect("a non-empty histogram");
+            assert!(
+                exact <= estimate && estimate <= exact.saturating_add(exact / 64),
+                "q {q}: exact {exact}, estimate {estimate}"
+            );
+        }
+        let empty = Histogram::default();
+        assert_eq!((empty.quantile(0.5), empty.p50(), empty.p99()), (None, None, None));
     }
 
     #[test]
-    fn quantile_interpolates_across_buckets() {
-        let h = Histogram::new(&LATENCY_BOUNDS_US);
-        // 6 samples in bucket (0,100], 4 in (100,1000]: the p50 rank
-        // (4.5 of ranks 0..=9) lies in the first bucket, the p99 rank
-        // (8.91) in the second, and both interpolate to interior values.
-        for _ in 0..6 {
-            h.record(50);
+    fn merged_snapshots_equal_one_histogram_of_both_sample_sets() {
+        let a = Metrics::new();
+        a.add_frames(2);
+        a.add_windows(10);
+        a.add_batch(Duration::from_micros(50));
+        a.add_batch(Duration::from_secs(10));
+        let b = Metrics::new();
+        b.add_frames(4);
+        b.add_batch(Duration::from_micros(50));
+        b.add_batch(Duration::from_micros(60));
+        b.add_batch(Duration::from_secs(20));
+        let (ra, rb) = (a.report(2, None), b.report(3, None));
+        let merged = ra.merge(&rb);
+        assert_eq!(merged.workers, 5);
+        assert_eq!(merged.frames_served, 6);
+        assert_eq!(merged.windows_scored, 10);
+        assert_eq!(merged.batches, 5);
+        let mut both = Histogram::default();
+        for us in [50, 10_000_000, 50, 60, 20_000_000] {
+            both.record(us);
         }
-        for _ in 0..4 {
-            h.record(500);
-        }
-        let snap = h.snapshot();
-        let p50 = snap.p50().unwrap();
-        assert!(p50 > 0 && p50 < 100, "median interior to the first bucket, got {p50}");
-        let p99 = snap.p99().unwrap();
-        assert!(p99 > 100 && p99 < 1_000, "p99 interior to the second bucket, got {p99}");
-        // Exact values under the midpoint-rank convention:
-        // p50 = 100·(4.5+0.5)/6 ≈ 83, p99 = 100 + 900·(8.91−6+0.5)/4 ≈ 867.
-        assert_eq!(p50, 83);
-        assert_eq!(p99, 867);
+        assert_eq!(merged.batch_latency, both, "bucket counts add");
+        assert_eq!(rb.batch_latency.merge(&ra.batch_latency), both, "in either order");
+        assert_eq!(merged.batch_latency.total(), merged.batches);
     }
 
     #[test]
@@ -675,7 +476,6 @@ mod tests {
         m.add_frames(3);
         m.add_windows(1000);
         m.add_batch(Duration::from_millis(12));
-        m.add_stage(Stage::Classify, Duration::from_millis(9));
         let report = m.report(4, Some(SystemStats { ticks: 7, ..Default::default() }));
         let json = serde_json::to_string(&report).unwrap();
         let back: RuntimeReport = serde_json::from_str(&json).unwrap();
@@ -715,21 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn overflow_bucket_is_explicit_not_clamped() {
-        let h = Histogram::new(&LATENCY_BOUNDS_US);
-        let last = *LATENCY_BOUNDS_US.last().unwrap();
-        h.record(last); // at the bound: last bounded bucket
-        h.record(last + 1); // beyond every bound: overflow
-        h.record(u64::MAX);
-        assert_eq!(h.overflow(), 2);
-        let snap = h.snapshot();
-        assert_eq!(snap.counts.len(), LATENCY_BOUNDS_US.len() + 1);
-        assert_eq!(snap.counts[LATENCY_BOUNDS_US.len() - 1], 1);
-        assert_eq!(snap.overflow(), 2);
-        assert_eq!(snap.total(), 3);
-    }
-
-    #[test]
     fn supervision_counters_reach_the_report() {
         let m = Metrics::new();
         m.add_panics(2);
@@ -745,9 +530,10 @@ mod tests {
     #[test]
     fn reports_with_the_retired_queue_and_supervision_keys_still_decode() {
         // A report serialized while the runtime still counted queueing,
-        // retries, deadlines, stalls and checkpoints carries seven keys
-        // this report no longer has; decoding looks fields up by name,
-        // so the extra keys are ignored.
+        // retries, deadlines, stalls and checkpoints, timed stages and
+        // copied the trace profile carries nine keys this report no
+        // longer has; decoding looks fields up by name, so the extra
+        // keys are ignored.
         let m = Metrics::new();
         m.add_frames(1);
         m.add_panics(1);
@@ -755,11 +541,21 @@ mod tests {
         let json = serde_json::to_string(&report).unwrap();
         let retired = "\"frames_rejected\":2,\"max_queue_depth\":3,\"retries\":4,\
                        \"deadline_misses\":5,\"stalls_detected\":6,\
-                       \"checkpoints_written\":7,\"checkpoints_restored\":8,";
+                       \"checkpoints_written\":7,\"checkpoints_restored\":8,\
+                       \"stage\":{\"pyramid_ms\":1.5,\"cells_ms\":2.0,\
+                       \"classify_ms\":3.0,\"nms_ms\":0.5},\
+                       \"trace\":{\"kernel_backend\":\"f32+scalar\",\"stages\":[]},";
         let old = json.replacen('{', &format!("{{{retired}"), 1);
-        assert!(old.contains("max_queue_depth") && old.contains("checkpoints_restored"), "{old}");
+        assert!(old.contains("max_queue_depth") && old.contains("classify_ms"), "{old}");
         let back: RuntimeReport = serde_json::from_str(&old).unwrap();
         assert_eq!(back, report);
+        // The fixed-bucket `batch_latency` shape is refused rather than
+        // read as an empty histogram.
+        let buckets = "\"batch_latency\":{\"buckets\":[]}";
+        let fixed = "\"batch_latency\":{\"bounds_us\":[100,1000],\"counts\":[0,0,0]}";
+        assert!(json.contains(buckets), "{json}");
+        let err = serde_json::from_str::<RuntimeReport>(&json.replacen(buckets, fixed, 1));
+        assert!(err.is_err_and(|e| e.to_string().contains("buckets")));
     }
 
     #[test]
@@ -790,7 +586,6 @@ mod tests {
         m.add_windows(700);
         m.add_batch(Duration::from_micros(450));
         m.add_batch(Duration::from_millis(30));
-        m.add_stage(Stage::Pyramid, Duration::from_millis(2));
         m.add_level_batch(0);
         m.add_degraded_batch(3);
         let mut report = m.report(4, Some(SystemStats { ticks: 9, ..Default::default() }));
@@ -800,27 +595,6 @@ mod tests {
         assert_eq!(merged, report, "zero.merge(r) must equal r");
         let merged = report.merge(&zero);
         assert_eq!(merged, report, "r.merge(zero) must equal r");
-    }
-
-    #[test]
-    fn merge_sums_counters_and_histograms_including_overflow() {
-        let a = Metrics::new();
-        a.add_frames(2);
-        a.add_windows(10);
-        a.add_batch(Duration::from_micros(50)); // first bucket
-        a.add_batch(Duration::from_secs(10)); // overflow
-        let b = Metrics::new();
-        b.add_frames(4);
-        b.add_batch(Duration::from_micros(60)); // first bucket
-        b.add_batch(Duration::from_secs(20)); // overflow
-        let merged = a.report(2, None).merge(&b.report(3, None));
-        assert_eq!(merged.workers, 5);
-        assert_eq!(merged.frames_served, 6);
-        assert_eq!(merged.windows_scored, 10);
-        assert_eq!(merged.batches, 4);
-        assert_eq!(merged.batch_latency.counts[0], 2);
-        assert_eq!(merged.batch_latency.overflow(), 2, "overflow buckets merge too");
-        assert_eq!(merged.batch_latency.total(), 4);
     }
 
     #[test]
@@ -850,19 +624,6 @@ mod tests {
         assert_eq!(system.ticks, 7);
         assert_eq!(system.routed_spikes, 7);
         assert_eq!(system.synaptic_events, 11);
-    }
-
-    #[test]
-    fn histogram_merge_folds_mismatched_tail_into_overflow() {
-        let bounded = Histogram::new(&LATENCY_BOUNDS_US).snapshot();
-        let longer = HistogramReport {
-            bounds_us: (1..=LATENCY_BOUNDS_US.len() as u64 + 3).collect(),
-            counts: vec![1; LATENCY_BOUNDS_US.len() + 4],
-        };
-        let merged = bounded.merge(&longer);
-        assert_eq!(merged.bounds_us, LATENCY_BOUNDS_US.to_vec());
-        assert_eq!(merged.total(), longer.total(), "no sample is lost in a merge");
-        assert_eq!(merged.overflow(), 4, "tail buckets fold into overflow");
     }
 
     #[test]

@@ -34,7 +34,7 @@
 use crate::cache::{frame_hash, CacheStats, CellCache, LevelCache};
 use crate::chaos::PanicInjector;
 use crate::degrade::FallbackChain;
-use crate::metrics::{LevelReport, Metrics, RuntimeReport, Stage};
+use crate::metrics::{LevelReport, Metrics, RuntimeReport};
 use crate::scheduler::{plan_chunks, try_parallel_map, Chunk, WorkerPanic};
 use crate::stream::{StreamFrameResult, StreamHandle, StreamState};
 use pcnn_core::pipeline::{Detector, TrainedDetector};
@@ -171,7 +171,8 @@ impl<'d> DetectionServer<'d> {
             });
         }
         // Opt-in observability: PCNN_TRACE=1 turns on wall-clock span
-        // tracing for the whole process (surfaced via RuntimeReport).
+        // tracing for the whole process (surfaced via the cluster
+        // report's trace summary and `pcnn_trace::profile_snapshot`).
         pcnn_trace::init_from_env();
         let metrics = Metrics::with_levels(chain.len());
         Ok(DetectionServer { engine, chain, config, metrics, injector: None })
@@ -315,7 +316,6 @@ impl<'d> DetectionServer<'d> {
         }
 
         let stage_span = pcnn_trace::span(pcnn_trace::stages::RUNTIME_PYRAMID);
-        let t = Instant::now();
         let todo = pending(&outcome);
         let config = self.engine.config().pyramid;
         let built =
@@ -327,11 +327,9 @@ impl<'d> DetectionServer<'d> {
                 Err(p) => fail(&mut outcome, f, "pyramid", p),
             }
         }
-        self.metrics.add_stage(Stage::Pyramid, t.elapsed());
         drop(stage_span);
 
         let stage_span = pcnn_trace::span(pcnn_trace::stages::RUNTIME_CELLS);
-        let t = Instant::now();
         let mut level_of = Vec::new();
         let mut slots = Vec::new();
         for (f, cache) in caches.iter_mut().enumerate() {
@@ -374,11 +372,9 @@ impl<'d> DetectionServer<'d> {
             stage_span.add(pcnn_trace::Counter::CellsReused, reused);
             stage_span.add(pcnn_trace::Counter::CellsRecomputed, recomputed);
         }
-        self.metrics.add_stage(Stage::Cells, t.elapsed());
         drop(stage_span);
 
         let stage_span = pcnn_trace::span(pcnn_trace::stages::RUNTIME_CLASSIFY);
-        let t = Instant::now();
         let grids: Vec<usize> =
             (0..levels.len()).filter(|&g| outcome[level_of[g].0].is_none()).collect();
         let dims: Vec<(usize, usize)> =
@@ -436,14 +432,12 @@ impl<'d> DetectionServer<'d> {
             }
         }
         self.metrics.add_windows(windows_scored);
-        self.metrics.add_stage(Stage::Classify, t.elapsed());
         if stage_span.is_recording() {
             stage_span.add(pcnn_trace::Counter::Windows, windows_scored);
         }
         drop(stage_span);
 
         let stage_span = pcnn_trace::span(pcnn_trace::stages::RUNTIME_NMS);
-        let t = Instant::now();
         let todo = pending(&outcome);
         let caches_view: &[CellCache] = caches;
         let suppressed = try_parallel_map(workers, todo.len(), |i| {
@@ -463,7 +457,6 @@ impl<'d> DetectionServer<'d> {
                 Err(p) => fail(&mut outcome, f, "nms", p),
             }
         }
-        self.metrics.add_stage(Stage::Nms, t.elapsed());
         drop(stage_span);
 
         if reuse {
@@ -583,7 +576,6 @@ impl<'d> DetectionServer<'d> {
             .zip(self.metrics.level_counts())
             .map(|(label, batches)| LevelReport { label, batches })
             .collect();
-        report.trace = pcnn_trace::profile_snapshot().map(crate::metrics::TraceSummary::from);
         report
     }
 }

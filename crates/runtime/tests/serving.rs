@@ -93,7 +93,6 @@ fn detect_batch_matches_per_frame_results() {
     let report = server.report(None);
     assert_eq!(report.frames_served, 8, "4 batched + 4 one at a time");
     assert!(report.windows_scored > 0);
-    assert!(report.stage.classify_ms > 0.0);
 }
 
 #[test]

@@ -62,7 +62,7 @@ pub mod trace;
 pub mod tracer;
 
 pub use clock::Clock;
-pub use profile::{quantile_from_buckets, ProfileReport, StageProfile};
+pub use profile::{ProfileReport, StageProfile};
 pub use span::{Counter, SpanRecord, MAX_COUNTERS};
 pub use trace::{LaneTrace, Trace};
 pub use tracer::{is_enabled, profile_snapshot, span, SpanGuard, Tracer};

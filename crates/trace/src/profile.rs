@@ -1,5 +1,5 @@
-//! Aggregate profiling: per-stage duration statistics and the shared
-//! bucket-quantile estimator.
+//! Aggregate profiling: per-stage duration statistics with exact
+//! quantiles.
 
 use crate::span::Counter;
 use crate::trace::Trace;
@@ -29,9 +29,9 @@ pub struct StageProfile {
 /// distinct span name, sorted by descending total duration.
 ///
 /// Quantiles here are *exact* — computed from the sorted span
-/// durations, not a histogram sketch. The serving runtime's streaming
-/// histograms estimate quantiles instead via
-/// [`quantile_from_buckets`], sharing the interpolation rule.
+/// durations, not a histogram sketch: a trace holds every span, so it
+/// needs no estimate. (The serving runtime's latency histogram, which
+/// keeps no samples, estimates nearest-rank quantiles within 1/64.)
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ProfileReport {
     /// One entry per stage, sorted by descending `total_ns` (ties by
@@ -137,58 +137,6 @@ fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
     (a + (b - a) * frac).round() as u64
 }
 
-/// Estimates a quantile from histogram buckets by interpolating within
-/// the bucket that contains the target rank.
-///
-/// `bounds` are the ascending upper edges of the first
-/// `bounds.len()` buckets; `counts` has one extra trailing slot for
-/// samples above the last bound. Bucket `i` spans
-/// `(bounds[i-1], bounds[i]]` (the first starts at 0). The estimator:
-///
-/// * returns `None` for an empty histogram;
-/// * finds the bucket holding rank `q * (total - 1)`;
-/// * places the estimate a fraction `(rank - preceding + 0.5) / count`
-///   of the way through that bucket, treating samples as spread evenly
-///   across it (the `+0.5` centres each sample in its slot, which
-///   removes the low bias a floor-to-bucket-edge rule has);
-/// * saturates overflow-bucket ranks at the last bound, the only
-///   honest answer for samples with no upper edge.
-///
-/// Shared between [`ProfileReport`]'s histogram consumers and the
-/// serving runtime's latency `HistogramReport`, so both report the
-/// same estimate for the same buckets.
-pub fn quantile_from_buckets(bounds: &[u64], counts: &[u64], q: f64) -> Option<u64> {
-    let total: u64 = counts.iter().sum();
-    if total == 0 {
-        return None;
-    }
-    let q = q.clamp(0.0, 1.0);
-    let rank = q * (total - 1) as f64;
-    let mut preceding = 0u64;
-    for (i, &c) in counts.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        // Rank falls in this bucket when it is below the cumulative
-        // count (ranks are 0-based: bucket holds ranks
-        // [preceding, preceding + c)).
-        if rank < (preceding + c) as f64 {
-            if i >= bounds.len() {
-                // Overflow bucket: unbounded above, saturate.
-                return Some(bounds.last().copied().unwrap_or(u64::MAX));
-            }
-            let lo = if i == 0 { 0 } else { bounds[i - 1] };
-            let hi = bounds[i];
-            let frac = ((rank - preceding as f64 + 0.5) / c as f64).clamp(0.0, 1.0);
-            return Some(lo + ((hi - lo) as f64 * frac).round() as u64);
-        }
-        preceding += c;
-    }
-    // All counts consumed without covering rank: only reachable through
-    // float edge cases at q = 1; saturate like the overflow case.
-    Some(bounds.last().copied().unwrap_or(u64::MAX))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,47 +188,5 @@ mod tests {
         assert_eq!(small.max_ns, 30);
         assert_eq!(small.p50_ns, 20);
         assert!(report.render().contains("big"));
-    }
-
-    #[test]
-    fn bucket_quantile_empty_is_none() {
-        assert_eq!(quantile_from_buckets(&[10, 20], &[0, 0, 0], 0.5), None);
-    }
-
-    #[test]
-    fn bucket_quantile_single_sample_centres_in_bucket() {
-        // One sample in (10, 20]: rank 0, frac (0 - 0 + 0.5)/1 = 0.5.
-        assert_eq!(quantile_from_buckets(&[10, 20], &[0, 1, 0], 0.5), Some(15));
-        // Same sample at every quantile — a single observation gives a
-        // single estimate.
-        assert_eq!(quantile_from_buckets(&[10, 20], &[0, 1, 0], 0.0), Some(15));
-        assert_eq!(quantile_from_buckets(&[10, 20], &[0, 1, 0], 0.99), Some(15));
-    }
-
-    #[test]
-    fn bucket_quantile_all_overflow_saturates() {
-        assert_eq!(quantile_from_buckets(&[10, 20], &[0, 0, 5], 0.5), Some(20));
-        assert_eq!(quantile_from_buckets(&[10, 20], &[0, 0, 5], 0.99), Some(20));
-    }
-
-    #[test]
-    fn bucket_quantile_is_unbiased_for_uniform_fill() {
-        // 10 samples spread evenly through (0, 100]: the median should
-        // land mid-range, not at a bucket floor.
-        let bounds = [100];
-        let counts = [10, 0];
-        let p50 = quantile_from_buckets(&bounds, &counts, 0.5).unwrap();
-        assert_eq!(p50, 50, "centred estimator: rank 4.5 of 10 → 50");
-    }
-
-    #[test]
-    fn bucket_quantile_walks_to_the_right_bucket() {
-        // Buckets (0,10], (10,20], (20,30]: 2 + 5 + 3 samples.
-        let bounds = [10, 20, 30];
-        let counts = [2, 5, 3, 0];
-        // rank(0.5) = 4.5 → second bucket, frac (4.5-2+0.5)/5 = 0.6.
-        assert_eq!(quantile_from_buckets(&bounds, &counts, 0.5), Some(16));
-        // rank(1.0) = 9 → third bucket, frac (9-7+0.5)/3 = 0.833…
-        assert_eq!(quantile_from_buckets(&bounds, &counts, 1.0), Some(28));
     }
 }

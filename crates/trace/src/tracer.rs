@@ -389,8 +389,10 @@ impl Tracer {
 
 /// Aggregates the installed tracer's spans collected so far into a
 /// [`ProfileReport`](crate::ProfileReport) without consuming them, or
-/// `None` when tracing is off. This is what the serving runtime calls
-/// to surface per-stage timings in its `RuntimeReport`.
+/// `None` when tracing is off. Each call clones and sorts every span
+/// recorded so far. The serving tier calls it once per
+/// `pcnn_cluster::Cluster::report`, to surface live per-stage timings
+/// in the cluster report's trace summary.
 pub fn profile_snapshot() -> Option<crate::ProfileReport> {
     let tracer = Tracer::global();
     if !tracer.is_recording() {

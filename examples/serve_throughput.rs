@@ -1,9 +1,12 @@
 //! Serving-throughput demo: push a batch of synthetic scenes through a
 //! one-shard cluster at several worker counts and print the shard's
-//! `RuntimeReport` after each run.
+//! `RuntimeReport` and the `ClusterReport` after each run. Under
+//! `PCNN_TRACE=1` the cluster report ends with the live per-stage trace
+//! summary.
 //!
 //! ```text
 //! cargo run --release --example serve_throughput
+//! PCNN_TRACE=1 cargo run --release --example serve_throughput
 //! ```
 
 use pcnn::cluster::{Cluster, ClusterConfig, StreamFrame};
@@ -62,6 +65,7 @@ fn main() {
             fps,
             fps / baseline_fps
         );
-        println!("{}\n", cluster.shards()[0].report());
+        println!("{}", cluster.shards()[0].report());
+        println!("{}", cluster.report());
     }
 }
