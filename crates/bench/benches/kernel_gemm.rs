@@ -1,21 +1,31 @@
-//! Kernel-vs-naive timing for the `pcnn-kernels` compute path.
+//! Kernel-vs-naive timing for the `pcnn-kernels` compute path and the
+//! serving classify stage.
 //!
 //! Times the blocked GEMM, the im2col+GEMM `Conv2d` forward (f32 and
 //! the multiply-free trinary inference path), the trinary
 //! `GroupedLinear` inference of the Fig. 5 window classifier's first
 //! layer at one window and at a 64-window batch, and the
 //! SIMD-vs-scalar micro-kernel spread against the golden naive loops in
-//! `pcnn_eedn::reference` at Fig. 5 representative shapes, after
-//! checking that every timed output agrees bit-for-bit with its
-//! baseline. Records `results/BENCH_kernels.json` through
-//! [`pcnn_bench::harness`], each row tagged with the kernel `backend`
-//! it ran on; `--check` fails if a speedup drops below 80% of its
-//! committed value.
+//! `pcnn_eedn::reference` at Fig. 5 representative shapes, plus the
+//! Fig. 4 SVM scoring of one frame's windows from shared block rows
+//! against per-window assembly and scoring, after checking that every
+//! timed output agrees bit-for-bit with its baseline. Records
+//! `results/BENCH_kernels.json` through [`pcnn_bench::harness`], each
+//! row tagged with the kernel `backend` it ran on; `--check` fails if a
+//! speedup drops below 80% of its committed value.
 
 use pcnn_bench::harness::{time_pair, Gate, Mode, Report};
+use pcnn_core::pipeline::{Detector, DetectorConfig, TrainedDetector};
+use pcnn_core::{Extractor, WindowClassifier};
 use pcnn_eedn::reference::{conv2d_forward, grouped_linear_forward, ConvSpec};
 use pcnn_eedn::{Conv2d, GroupedLinear, Layer, Scratch, Tensor};
+use pcnn_hog::block::descriptor_len;
+use pcnn_hog::{BlockNorm, CELL_SIZE};
 use pcnn_kernels::{gemm, gemm_with_backend, GemmScratch, SimdBackend};
+use pcnn_runtime::RuntimeConfig;
+use pcnn_svm::{FeatureScaler, LinearSvm};
+use pcnn_vision::pyramid::scale_pyramid;
+use pcnn_vision::GrayImage;
 use serde::Serialize;
 use std::hint::black_box;
 
@@ -213,6 +223,92 @@ fn bench_simd_vs_scalar(mkn: [usize; 3], reps: usize) -> BenchResult {
     row(name, mkn.to_vec(), format!("f32+{}", hw.name()), "f32+scalar", times)
 }
 
+/// The Fig. 4 classify stage over every window of one 320×240 frame's
+/// pyramid levels, on a seeded 18-bin cell grid and a seeded L2-block
+/// SVM (scores, not detections, are the point, so nothing is trained):
+/// per-window `Detector::assemble_window` + `WindowClassifier::score`,
+/// the serial reference, against `Detector::score_windows` over the
+/// runtime's default window-row chunks, which normalizes each chunk's
+/// blocks once and scores up to 32 adjacent windows per pass.
+fn bench_window_scoring(reps: usize) -> BenchResult {
+    let (width, height, bins, norm) = (320, 240, 18, BlockNorm::L2);
+    let pyramid = scale_pyramid(&GrayImage::new(width, height), DetectorConfig::default().pyramid);
+    let levels: Vec<(usize, Vec<Vec<f32>>)> = pyramid
+        .levels
+        .iter()
+        .enumerate()
+        .map(|(l, level)| {
+            let cells_x = level.image.width() / CELL_SIZE;
+            let cells = level.image.height() / CELL_SIZE * cells_x;
+            let mut flat = vec![0.0f32; cells * bins];
+            pseudo(&mut flat, 20 + l as u64);
+            (cells_x, flat.chunks(bins).map(|h| h.iter().map(|v| v.abs()).collect()).collect())
+        })
+        .collect();
+    let dim = descriptor_len(8, 16, bins, norm);
+    let examples: Vec<Vec<f32>> = (0..4)
+        .map(|i| {
+            let mut x = vec![0.0f32; dim];
+            pseudo(&mut x, 30 + i);
+            x
+        })
+        .collect();
+    let mut weights = vec![0.0f32; dim];
+    pseudo(&mut weights, 40);
+    let classifier = WindowClassifier::Svm {
+        model: LinearSvm::new(weights, 0.5),
+        scaler: FeatureScaler::fit(&examples),
+    };
+    let detector = TrainedDetector { extractor: Extractor::napprox_fp(norm), classifier };
+    let chunk_rows = RuntimeConfig::default().chunk_rows;
+    let grids: Vec<(usize, usize, usize)> = levels
+        .iter()
+        .map(|(cells_x, hist)| {
+            let (rows, cols) = Detector::window_grid(*cells_x, hist.len() / cells_x);
+            (*cells_x, rows, cols)
+        })
+        .collect();
+    let windows: usize = grids.iter().map(|&(_, rows, cols)| rows * cols).sum();
+
+    let (mut per_window, mut shared) = (Vec::with_capacity(windows), vec![0.0f32; windows]);
+    let times = time_pair(
+        reps,
+        || {
+            per_window.clear();
+            let mut descriptor = Vec::new();
+            for ((_, hist), &(cells_x, rows, cols)) in levels.iter().zip(&grids) {
+                let cell = |cx: usize, cy: usize| hist[cy * cells_x + cx].as_slice();
+                for w in 0..rows * cols {
+                    descriptor.clear();
+                    let ex = &detector.extractor;
+                    Detector::assemble_window(ex, w % cols, w / cols, cell, &mut descriptor);
+                    per_window.push(detector.classifier.score(black_box(&descriptor)));
+                }
+            }
+            black_box(&per_window);
+        },
+        || {
+            let mut out = &mut shared[..];
+            for ((_, hist), &(cells_x, rows, cols)) in levels.iter().zip(&grids) {
+                let cell = |cx: usize, cy: usize| hist[cy * cells_x + cx].as_slice();
+                for row in (0..rows).step_by(chunk_rows) {
+                    let chunk: Vec<usize> =
+                        (row * cols..(row + chunk_rows).min(rows) * cols).collect();
+                    let (scores, rest) = out.split_at_mut(chunk.len());
+                    Detector::score_windows(&detector, cols, cell, black_box(&chunk), scores);
+                    out = rest;
+                }
+            }
+            black_box(&shared);
+        },
+    );
+    let name = "fig4_window_scoring".to_string();
+    assert_bits_eq(&name, &shared, &per_window);
+    let backend = format!("svm+lanes{}", pcnn_svm::lanes::MAX_LANES);
+    // width, height, bins, descriptor dimensions, windows
+    row(name, vec![width, height, bins, dim, windows], backend, "per_window", times)
+}
+
 /// The agreement gate every timed case passes: the kernel output must
 /// equal its baseline's bit for bit.
 fn assert_bits_eq(case: &str, got: &[f32], want: &[f32]) {
@@ -246,6 +342,7 @@ fn main() {
     // The raw GEMM behind the fig5 conv: (out_ch) x (in_ch*k*k) x (ho*wo).
     results.push(bench_raw_gemm([64, 288, 900], reps));
     results.push(bench_simd_vs_scalar([64, 288, 900], reps));
+    results.push(bench_window_scoring(reps));
 
     Report::new("kernel_gemm", 1, &results).finish(
         mode,

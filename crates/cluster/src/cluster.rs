@@ -590,6 +590,9 @@ impl Cluster {
         engine: DetectorConfig,
     ) -> Result<Self> {
         config.validate()?;
+        // PCNN_TRACE=1 must be live before the first serve opens its
+        // `cluster.serve` span, not only once a shard builds its server.
+        pcnn_trace::init_from_env();
         let router = ShardRouter::new(config.shards, config.router_seed)?;
         let shards = (0..config.shards)
             .map(|id| {

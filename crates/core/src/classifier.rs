@@ -42,64 +42,23 @@ impl std::fmt::Debug for WindowClassifier {
     }
 }
 
-/// Windows per SVM scoring batch: one dot product per window gains
-/// nothing from sharing a call.
-const SVM_BATCH: usize = 1;
-
 /// Windows per Eedn inference pass: the 64 accumulator columns of the
 /// AVX2 trinary register tile (`pcnn_kernels::dispatch`), so a full
 /// batch streams each packed weight row through one register-resident
 /// tile.
-const EEDN_BATCH: usize = 64;
+pub(crate) const EEDN_BATCH: usize = 64;
 
 impl WindowClassifier {
-    /// Scores `scores.len()` descriptors laid out row-major in
-    /// `descriptors`, writing one score per row. Bit-identical to
-    /// scoring each row alone: the SVM scores one row at a time, and
-    /// the Eedn network runs one inference pass per batch of up to
-    /// [`batch_len`](Self::batch_len) rows, whose rows never mix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `descriptors` does not hold `scores.len()` rows of the
-    /// training dimensionality.
-    pub fn score_batch(&self, descriptors: &[f32], scores: &mut [f32]) {
-        match self {
-            WindowClassifier::Svm { model, scaler } => {
-                assert_eq!(
-                    descriptors.len(),
-                    scores.len() * model.dim(),
-                    "descriptor dimensionality mismatch"
-                );
-                for (score, row) in scores.iter_mut().zip(descriptors.chunks_exact(model.dim())) {
-                    *score = model.score(&scaler.apply(row));
-                }
-            }
-            WindowClassifier::Eedn(c) => c.score_batch(descriptors, scores),
-        }
-    }
-
-    /// Scores one descriptor: the one-row case of
-    /// [`score_batch`](Self::score_batch).
+    /// Scores one descriptor.
     ///
     /// # Panics
     ///
     /// Panics if the descriptor dimensionality mismatches the training
     /// dimensionality.
     pub fn score(&self, descriptor: &[f32]) -> f32 {
-        let mut score = [0.0];
-        self.score_batch(descriptor, &mut score);
-        score[0]
-    }
-
-    /// The descriptors per batch a caller should hand
-    /// [`score_batch`](Self::score_batch): 1 for the SVM, 64 for the
-    /// Eedn network. Fixed per variant, so a caller's descriptor buffer
-    /// stays bounded.
-    pub fn batch_len(&self) -> usize {
         match self {
-            WindowClassifier::Svm { .. } => SVM_BATCH,
-            WindowClassifier::Eedn(_) => EEDN_BATCH,
+            WindowClassifier::Svm { model, scaler } => model.score(&scaler.apply(descriptor)),
+            WindowClassifier::Eedn(c) => c.score(descriptor),
         }
     }
 
@@ -503,7 +462,8 @@ impl EednClassifier {
     }
 
     /// The decision value: positive-class logit minus negative-class
-    /// logit. The one-row case of [`WindowClassifier::score_batch`].
+    /// logit; one row of the batched scoring the serving classify stage
+    /// uses.
     ///
     /// # Panics
     ///
@@ -628,23 +588,18 @@ mod tests {
     #[test]
     fn batched_scoring_equals_per_window_scoring() {
         let (xs, ys) = blobs(200, 16, 11);
-        let scaler = FeatureScaler::fit(&xs);
-        let model = pcnn_svm::train(&scaler.apply_all(&xs), &ys, Default::default());
-        let svm = WindowClassifier::Svm { model, scaler };
-        let eedn = WindowClassifier::Eedn(Box::new(EednClassifier::train(
+        let eedn = EednClassifier::train(
             &xs,
             &ys,
             EednClassifierConfig { hidden1: 16, hidden2: 8, epochs: 3, ..Default::default() },
-        )));
-        for c in [&svm, &eedn] {
-            for n in [1usize, 5, 64, 65, 130] {
-                let rows: Vec<f32> = xs[..n].concat();
-                let mut batched = vec![f32::NAN; n];
-                c.score_batch(&rows, &mut batched);
-                for (i, (x, got)) in xs.iter().zip(&batched).enumerate() {
-                    let want = c.score(x);
-                    assert_eq!(got.to_bits(), want.to_bits(), "{} n={n} row {i}", c.label());
-                }
+        );
+        for n in [1usize, 5, 64, 65, 130] {
+            let rows: Vec<f32> = xs[..n].concat();
+            let mut batched = vec![f32::NAN; n];
+            eedn.score_batch(&rows, &mut batched);
+            for (i, (x, got)) in xs.iter().zip(&batched).enumerate() {
+                let want = eedn.score(x);
+                assert_eq!(got.to_bits(), want.to_bits(), "n={n} row {i}");
             }
         }
     }

@@ -11,16 +11,22 @@
 //! downstream), and the only way a trained-network extractor stays
 //! tractable on full scenes.
 
-use crate::classifier::WindowClassifier;
+use crate::classifier::{WindowClassifier, EEDN_BATCH};
 use crate::extractor::Extractor;
-use pcnn_hog::block::assemble_descriptor_into;
+use pcnn_hog::block::{assemble_descriptor_into, BlockRows};
 use pcnn_hog::cell::{cell_patch, CELL_SIZE};
+use pcnn_svm::lanes::LANE_GROUP;
 use pcnn_vision::pyramid::{scale_pyramid, PyramidConfig};
 use pcnn_vision::{
     non_maximum_suppression, BoundingBox, Detection, DetectionCurve, Evaluator, GrayImage,
     SynthScene, WINDOW_HEIGHT, WINDOW_WIDTH,
 };
 use serde::{Deserialize, Serialize};
+
+/// Cells across one 64×128 window.
+const WINDOW_CELLS_X: usize = WINDOW_WIDTH / CELL_SIZE;
+/// Cells down one 64×128 window.
+const WINDOW_CELLS_Y: usize = WINDOW_HEIGHT / CELL_SIZE;
 
 /// Detector parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -93,12 +99,10 @@ impl Detector {
     /// cell grid — `(0, 0)` when the grid is too small to hold one
     /// 64×128 window.
     pub fn window_grid(cells_x: usize, cells_y: usize) -> (usize, usize) {
-        let window_cells_x = WINDOW_WIDTH / CELL_SIZE;
-        let window_cells_y = WINDOW_HEIGHT / CELL_SIZE;
-        if cells_x < window_cells_x || cells_y < window_cells_y {
+        if cells_x < WINDOW_CELLS_X || cells_y < WINDOW_CELLS_Y {
             (0, 0)
         } else {
-            (cells_y - window_cells_y + 1, cells_x - window_cells_x + 1)
+            (cells_y - WINDOW_CELLS_Y + 1, cells_x - WINDOW_CELLS_X + 1)
         }
     }
 
@@ -115,12 +119,90 @@ impl Detector {
         out: &mut Vec<f32>,
     ) {
         assemble_descriptor_into(
-            WINDOW_WIDTH / CELL_SIZE,
-            WINDOW_HEIGHT / CELL_SIZE,
+            WINDOW_CELLS_X,
+            WINDOW_CELLS_Y,
             |cx, cy| cell(cx0 + cx, cy0 + cy),
             extractor.norm(),
             out,
         );
+    }
+
+    /// Scores `windows`, ascending row-major indices into a level's
+    /// window grid `cols` windows wide whose cell `(cx, cy)` histogram
+    /// `cell` returns, writing one score per window into `scores`. Each
+    /// score is bit-identical to [`detect`](Self::detect)'s
+    /// per-window [`assemble_window`](Self::assemble_window) and
+    /// [`WindowClassifier::score`].
+    ///
+    /// The SVM scores straight from shared blocks: the blocks under the
+    /// windows' bounding rectangle are normalized once into one
+    /// [`BlockRows`], then each run of horizontally adjacent windows is
+    /// scored up to 32 per pass by [`LinearSvm::score_lanes`]. The Eedn
+    /// network's GEMM needs row-major descriptors, so its windows are
+    /// assembled and scored 64 per inference pass.
+    ///
+    /// [`LinearSvm::score_lanes`]: pcnn_svm::LinearSvm::score_lanes
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scores` and `windows` differ in length.
+    pub fn score_windows<'a>(
+        detector: &TrainedDetector,
+        cols: usize,
+        cell: impl Fn(usize, usize) -> &'a [f32],
+        windows: &[usize],
+        scores: &mut [f32],
+    ) {
+        assert_eq!(windows.len(), scores.len(), "one score per window");
+        let (Some(&first), Some(&last)) = (windows.first(), windows.last()) else {
+            return;
+        };
+        match &detector.classifier {
+            WindowClassifier::Svm { model, scaler } => {
+                let norm = detector.extractor.norm();
+                let side = norm.block_cells();
+                let (wide, high) = (WINDOW_CELLS_X - side + 1, WINDOW_CELLS_Y - side + 1);
+                // The windows' bounding rectangle; a window's top-left
+                // block has the coordinates of its top-left cell.
+                let (row0, row1) = (first / cols, last / cols + 1);
+                let col0 = windows.iter().map(|w| w % cols).min().expect("a window");
+                let col1 = windows.iter().map(|w| w % cols).max().expect("a window") + 1;
+                let (block_rows, block_cols) = (row0..row1 + high - 1, col0..col1 + wide - 1);
+                let blocks = BlockRows::new(norm, block_rows, block_cols, LANE_GROUP, cell);
+                let offsets = blocks.window_offsets(WINDOW_CELLS_X, WINDOW_CELLS_Y);
+                let mut start = 0;
+                while start < windows.len() {
+                    // A run: the windows in consecutive columns of one row.
+                    let mut end = start + 1;
+                    while end < windows.len()
+                        && windows[end] == windows[end - 1] + 1
+                        && !windows[end].is_multiple_of(cols)
+                    {
+                        end += 1;
+                    }
+                    let (row, col) = (windows[start] / cols, windows[start] % cols);
+                    let src = blocks.from_block(row - row0, col - col0);
+                    model.score_lanes(scaler, src, &offsets, &mut scores[start..end]);
+                    start = end;
+                }
+            }
+            WindowClassifier::Eedn(classifier) => {
+                let mut descriptors = Vec::new();
+                for (ws, out) in windows.chunks(EEDN_BATCH).zip(scores.chunks_mut(EEDN_BATCH)) {
+                    descriptors.clear();
+                    for &w in ws {
+                        Self::assemble_window(
+                            &detector.extractor,
+                            w % cols,
+                            w / cols,
+                            &cell,
+                            &mut descriptors,
+                        );
+                    }
+                    classifier.score_batch(&descriptors, out);
+                }
+            }
+        }
     }
 
     /// The raw (pre-NMS) detections of one pyramid level at `scale`,

@@ -19,7 +19,8 @@
 //!   cache probe, pyramid, cells, classify, NMS — that a batch runs
 //!   over fresh caches it then drops (nothing is hashed, every cell and
 //!   window is computed) and a stream frame over the stream's own
-//!   cache, with the per-window code taken from
+//!   cache, with the window code, the shared-block SVM scoring of
+//!   `Detector::score_windows` included, taken from
 //!   [`Detector`](pcnn_core::pipeline::Detector);
 //! * [`cache`] / [`stream`] — temporal video serving: a per-stream
 //!   [`CellCache`] diffs each frame's pyramid cells against the

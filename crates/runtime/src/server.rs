@@ -10,9 +10,10 @@
 //! 3. **cells** — one work item per (frame, pyramid level), hashing the
 //!    level's cells and extracting only the changed ones;
 //! 4. **classify** — one work item per window-row chunk, scoring only
-//!    the stale windows, in batches of the classifier's
-//!    [`batch_len`](pcnn_core::WindowClassifier::batch_len) assembled
-//!    into one reused descriptor buffer;
+//!    the stale windows through [`Detector::score_windows`]: the SVM
+//!    from the chunk's blocks, each normalized once, up to 32 adjacent
+//!    windows per pass; the Eedn network 64 assembled descriptors per
+//!    inference pass;
 //! 5. **nms** — one work item per frame, rebuilding the raw detections
 //!    from the cached window scores in serial scan order (level, row,
 //!    column) and suppressing them, exactly as [`Detector::detect`]
@@ -22,9 +23,9 @@
 //! and drops them, so it skips the probe and the hashing and computes
 //! every cell and window once; [`detect_stream`](DetectionServer::detect_stream)
 //! passes the stream's own cache and then updates its tracker. Either
-//! way the per-window code is [`Detector`]'s, and the output is
-//! bit-identical to [`Detector::detect`]'s serial scan for any worker
-//! count.
+//! way the window code is [`Detector`]'s, and the output is
+//! bit-identical to [`Detector::detect`]'s serial per-window scan for
+//! any worker count.
 //!
 //! The server has no queue and no retry loop of its own: queueing,
 //! shedding, retries, deadlines and stall detection live in the cluster
@@ -395,27 +396,10 @@ impl<'d> DetectionServer<'d> {
                 injector.maybe_panic(chunks[i].frame);
             }
             let (g, windows) = chunk_windows(&chunks[i]);
-            let (lc, cols): (&LevelCache, usize) = (levels[g], dims[g].1);
+            let lc: &LevelCache = levels[g];
             let cell = |cx: usize, cy: usize| lc.histograms[cy * lc.cells_x + cx].as_slice();
-            // The stale windows' descriptors go row-major into one buffer
-            // reused across the item, one classifier-sized batch at a time.
-            let batch = detector.classifier.batch_len();
             let mut scores = vec![0.0; windows.len()];
-            let mut descriptors = Vec::new();
-            for (ws, out) in windows.chunks(batch).zip(scores.chunks_mut(batch)) {
-                descriptors.clear();
-                for &w in ws {
-                    let (cx0, cy0) = (w % cols, w / cols);
-                    Detector::assemble_window(
-                        &detector.extractor,
-                        cx0,
-                        cy0,
-                        cell,
-                        &mut descriptors,
-                    );
-                }
-                detector.classifier.score_batch(&descriptors, out);
-            }
+            Detector::score_windows(detector, dims[g].1, cell, windows, &mut scores);
             scores
         });
         let mut windows_scored = 0u64;

@@ -12,6 +12,9 @@
 //!   permutation schedule so training is reproducible;
 //! * [`scale`] — per-dimension feature standardization, fitted on training
 //!   data and applied at inference;
+//! * [`lanes`] — [`LinearSvm::score_lanes`], standardizing and scoring up
+//!   to 32 windows per pass from a shared lane layout, bit-identical to
+//!   scoring each window alone;
 //! * [`mining`] — the bootstrap loop: train, scan negative scenes for
 //!   false positives, append them to the negative set, retrain;
 //! * [`metrics`] — accuracy / precision / recall helpers.
@@ -19,6 +22,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod lanes;
 pub mod linear;
 pub mod metrics;
 pub mod mining;

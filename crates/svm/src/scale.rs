@@ -11,8 +11,8 @@ use serde::{Deserialize, Serialize};
 /// A fitted standardizer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FeatureScaler {
-    mean: Vec<f32>,
-    inv_std: Vec<f32>,
+    pub(crate) mean: Vec<f32>,
+    pub(crate) inv_std: Vec<f32>,
 }
 
 impl FeatureScaler {
