@@ -1,5 +1,5 @@
-//! Kernel-vs-naive timing for the `pcnn-kernels` compute path and the
-//! serving classify stage.
+//! Kernel-vs-naive timing for the `pcnn-kernels` compute path, the
+//! serving classify stage and the NApprox cell kernel.
 //!
 //! Times the blocked GEMM, the im2col+GEMM `Conv2d` forward (f32 and
 //! the multiply-free trinary inference path), the trinary
@@ -8,8 +8,10 @@
 //! SIMD-vs-scalar micro-kernel spread against the golden naive loops in
 //! `pcnn_eedn::reference` at Fig. 5 representative shapes, plus the
 //! Fig. 4 SVM scoring of one frame's windows from shared block rows
-//! against per-window assembly and scoring, after checking that every
-//! timed output agrees bit-for-bit with its baseline. Records
+//! against per-window assembly and scoring, and the NApprox cell kernel
+//! (full precision and 64-spike) over one frame's cells against the
+//! per-pixel loops of `pcnn_hog::napprox::reference`, after checking
+//! that every timed output agrees bit-for-bit with its baseline. Records
 //! `results/BENCH_kernels.json` through [`pcnn_bench::harness`], each
 //! row tagged with the kernel `backend` it ran on; `--check` fails if a
 //! speedup drops below 80% of its committed value.
@@ -20,12 +22,13 @@ use pcnn_core::{Extractor, WindowClassifier};
 use pcnn_eedn::reference::{conv2d_forward, grouped_linear_forward, ConvSpec};
 use pcnn_eedn::{Conv2d, GroupedLinear, Layer, Scratch, Tensor};
 use pcnn_hog::block::descriptor_len;
-use pcnn_hog::{BlockNorm, CELL_SIZE};
+use pcnn_hog::cell::{cell_patch, grid_origins, CellExtractor};
+use pcnn_hog::{napprox, BlockNorm, NApproxHog, CELL_SIZE};
 use pcnn_kernels::{gemm, gemm_with_backend, GemmScratch, SimdBackend};
 use pcnn_runtime::RuntimeConfig;
 use pcnn_svm::{FeatureScaler, LinearSvm};
 use pcnn_vision::pyramid::scale_pyramid;
-use pcnn_vision::GrayImage;
+use pcnn_vision::{GrayImage, SynthConfig, SynthDataset};
 use serde::Serialize;
 use std::hint::black_box;
 
@@ -309,6 +312,56 @@ fn bench_window_scoring(reps: usize) -> BenchResult {
     row(name, vec![width, height, bins, dim, windows], backend, "per_window", times)
 }
 
+/// NApprox cell extraction over every cell of one 320×240 test scene's
+/// pyramid levels: the per-pixel `pcnn_hog::napprox::reference` loop on
+/// each cell's `cell_patch` crop, the path every cell took before the
+/// table-driven kernel, against one `NApproxHog::cell_histograms` call
+/// per level.
+fn bench_cell_extraction(name: &str, model: NApproxHog, reps: usize) -> BenchResult {
+    let scene = SynthDataset::new(SynthConfig::default()).test_scene(0).image;
+    let pyramid = scale_pyramid(&scene, DetectorConfig::default().pyramid);
+    let levels: Vec<(&GrayImage, Vec<(usize, usize)>)> = pyramid
+        .levels
+        .iter()
+        .map(|level| {
+            let (w, h) = (level.image.width(), level.image.height());
+            (&level.image, grid_origins(0, 0, w / CELL_SIZE, h / CELL_SIZE))
+        })
+        .collect();
+    let cells: usize = levels.iter().map(|(_, origins)| origins.len()).sum();
+    let bins = model.bins;
+
+    let (mut per_pixel, mut kernel) =
+        (Vec::with_capacity(cells * bins), vec![0.0f32; cells * bins]);
+    let times = time_pair(
+        reps,
+        || {
+            per_pixel.clear();
+            for (img, origins) in &levels {
+                for &(x, y) in origins {
+                    let patch = cell_patch(img, x, y, 0, 0);
+                    per_pixel.extend(napprox::reference::cell_histogram(&model, black_box(&patch)));
+                }
+            }
+            black_box(&per_pixel);
+        },
+        || {
+            let mut out = &mut kernel[..];
+            for (img, origins) in &levels {
+                let (level, rest) = out.split_at_mut(origins.len() * bins);
+                model.cell_histograms(black_box(img), origins, level);
+                out = rest;
+            }
+            black_box(&kernel);
+        },
+    );
+    assert_bits_eq(name, &kernel, &per_pixel);
+    let spikes = model.quant.map_or(0, |q| q.input.levels() as usize);
+    // width, height, bins, input spikes (0: full precision), cells
+    let dims = vec![scene.width(), scene.height(), bins, spikes, cells];
+    row(name.to_string(), dims, format!("napprox+lanes{CELL_SIZE}"), "reference", times)
+}
+
 /// The agreement gate every timed case passes: the kernel output must
 /// equal its baseline's bit for bit.
 fn assert_bits_eq(case: &str, got: &[f32], want: &[f32]) {
@@ -343,6 +396,8 @@ fn main() {
     results.push(bench_raw_gemm([64, 288, 900], reps));
     results.push(bench_simd_vs_scalar([64, 288, 900], reps));
     results.push(bench_window_scoring(reps));
+    results.push(bench_cell_extraction("fig4_cell_extraction", NApproxHog::full_precision(), reps));
+    results.push(bench_cell_extraction("fig5_cell_extraction", NApproxHog::quantized(64), reps));
 
     Report::new("kernel_gemm", 1, &results).finish(
         mode,

@@ -567,6 +567,9 @@ pub struct Cluster {
     retries: AtomicU64,
     deadline_exceeded: AtomicU64,
     stalls: AtomicU64,
+    /// When the cluster was built, on the tracer's clock: its report
+    /// profiles only the spans started since.
+    trace_mark: pcnn_trace::TraceMark,
 }
 
 impl Cluster {
@@ -593,6 +596,7 @@ impl Cluster {
         // PCNN_TRACE=1 must be live before the first serve opens its
         // `cluster.serve` span, not only once a shard builds its server.
         pcnn_trace::init_from_env();
+        let trace_mark = pcnn_trace::mark();
         let router = ShardRouter::new(config.shards, config.router_seed)?;
         let shards = (0..config.shards)
             .map(|id| {
@@ -614,6 +618,7 @@ impl Cluster {
             retries: AtomicU64::new(0),
             deadline_exceeded: AtomicU64::new(0),
             stalls: AtomicU64::new(0),
+            trace_mark,
         })
     }
 
@@ -947,7 +952,11 @@ impl Cluster {
     /// Snapshots the whole tier: every shard's accumulated
     /// [`RuntimeReport`](pcnn_runtime::RuntimeReport), their merged
     /// aggregate, routing/shedding/swap counters and the live trace
-    /// summary when a tracer is installed.
+    /// summary when a tracer is installed. The summary profiles the
+    /// spans started since this cluster was built, so clusters that
+    /// serve one after another in one process each report their own;
+    /// clusters serving at the same time share the process-global
+    /// tracer and each count the other's spans too.
     pub fn report(&self) -> ClusterReport {
         let router = self.lock_router();
         let shards: Vec<ShardReport> = self
@@ -964,7 +973,7 @@ impl Cluster {
         drop(router);
         let zero = Metrics::new().report(0, None);
         let aggregate = shards.iter().fold(zero, |acc, s| acc.merge(&s.report));
-        let trace = pcnn_trace::profile_snapshot()
+        let trace = pcnn_trace::profile_since(self.trace_mark)
             .map(|profile| TraceSummary::new(profile, aggregate.kernel_backend.clone()));
         ClusterReport {
             shards,

@@ -56,10 +56,12 @@ pub struct ClusterReport {
     #[serde(default)]
     pub stalls: u64,
     /// Live per-stage tracing statistics, when a `pcnn_trace` tracer is
-    /// installed (spans from every shard land in the same process-global
-    /// tracer, so this is the tier-wide view). The trace spans are the
-    /// only record of per-stage wall time, and this is the only report
-    /// field that carries them.
+    /// installed: the spans started since the cluster was built, from
+    /// every shard (they land in the same process-global tracer, so this
+    /// is the tier-wide view; two clusters serving at the same time in
+    /// one process see each other's spans). The trace spans are the only
+    /// record of per-stage wall time, and this is the only report field
+    /// that carries them.
     #[serde(default)]
     pub trace: Option<TraceSummary>,
 }

@@ -441,6 +441,26 @@ impl Extractor {
         }
     }
 
+    /// The histograms of the cells of `img` whose top-left pixels are
+    /// `origins`, into `out` ([`bins`](Self::bins) values per cell) —
+    /// see [`CellExtractor::cell_histograms`]. Equal to
+    /// [`cell_histogram`](Self::cell_histogram) on each cell's padded
+    /// patch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != origins.len() * self.bins()`.
+    pub fn cell_histograms(&self, img: &GrayImage, origins: &[(usize, usize)], out: &mut [f32]) {
+        match &self.inner {
+            Inner::Fpga(d) => d.extractor().cell_histograms(img, origins, out),
+            Inner::Traditional(d) => d.extractor().cell_histograms(img, origins, out),
+            Inner::NApprox(d) => d.extractor().cell_histograms(img, origins, out),
+            Inner::Hardware(d) => d.extractor().cell_histograms(img, origins, out),
+            Inner::Parrot(d) => d.extractor().cell_histograms(img, origins, out),
+            Inner::Raw(d) => d.extractor().cell_histograms(img, origins, out),
+        }
+    }
+
     /// Attaches a fault-injection plan to the simulated hardware behind
     /// this extractor. Only the [`NApproxHardware`] paradigm carries
     /// simulated cores; every other kind rejects the plan.

@@ -14,7 +14,7 @@
 use crate::classifier::{WindowClassifier, EEDN_BATCH};
 use crate::extractor::Extractor;
 use pcnn_hog::block::{assemble_descriptor_into, BlockRows};
-use pcnn_hog::cell::{cell_patch, CELL_SIZE};
+use pcnn_hog::cell::{grid_origins, nest_grid, CELL_SIZE};
 use pcnn_svm::lanes::LANE_GROUP;
 use pcnn_vision::pyramid::{scale_pyramid, PyramidConfig};
 use pcnn_vision::{
@@ -78,21 +78,16 @@ impl Detector {
         &self.config
     }
 
-    /// Computes the cell-histogram grid of one image: `grid[cy][cx]` for
-    /// every complete 8×8 cell.
+    /// Computes the cell-histogram grid of one image, in one
+    /// [`Extractor::cell_histograms`] call: `grid[cy][cx]` for every
+    /// complete 8×8 cell.
     pub fn cell_grid(extractor: &Extractor, img: &GrayImage) -> Vec<Vec<Vec<f32>>> {
         let cells_x = img.width() / CELL_SIZE;
         let cells_y = img.height() / CELL_SIZE;
-        (0..cells_y)
-            .map(|cy| {
-                (0..cells_x)
-                    .map(|cx| {
-                        let patch = cell_patch(img, 0, 0, cx, cy);
-                        extractor.cell_histogram(&patch)
-                    })
-                    .collect()
-            })
-            .collect()
+        let bins = extractor.bins();
+        let mut flat = vec![0.0; cells_x * cells_y * bins];
+        extractor.cell_histograms(img, &grid_origins(0, 0, cells_x, cells_y), &mut flat);
+        nest_grid(&flat, cells_x, cells_y, bins)
     }
 
     /// Valid window origins `(rows, cols)` over a `cells_x × cells_y`

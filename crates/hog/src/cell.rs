@@ -7,6 +7,14 @@
 //! HoG" — §4). Every extractor in this workspace — traditional, FPGA,
 //! NApprox, and the trained Parrot network — implements [`CellExtractor`],
 //! which is what lets the detection pipeline swap them freely.
+//!
+//! Every producer of cell histograms — the detector's per-level grid,
+//! the serving runtime's cell cache, window descriptors for training and
+//! mining — asks for many cells of one image in one
+//! [`CellExtractor::cell_histograms`] call. By default that crops each
+//! cell's padded patch and calls [`CellExtractor::cell_histogram`]; an
+//! extractor that can read cells straight from the image overrides it
+//! (NApprox does, with its table-driven kernel).
 
 use pcnn_vision::GrayImage;
 
@@ -31,6 +39,26 @@ pub trait CellExtractor {
     /// Implementations panic if `patch` is not 10×10.
     fn cell_histogram(&self, patch: &GrayImage) -> Vec<f32>;
 
+    /// Computes the histograms of many cells of one image into one flat
+    /// buffer: the cell whose top-left pixel is `origins[i]` fills
+    /// `out[i * bins..(i + 1) * bins]`. Derivative neighbours beyond the
+    /// image replicate its border, as [`cell_patch`] pads them.
+    ///
+    /// The provided implementation crops each cell's padded patch with
+    /// [`cell_patch`] and calls [`cell_histogram`](Self::cell_histogram).
+    /// An override must return exactly those values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != origins.len() * self.bins()`.
+    fn cell_histograms(&self, img: &GrayImage, origins: &[(usize, usize)], out: &mut [f32]) {
+        let bins = self.bins();
+        check_histograms(bins, origins, out);
+        for (&(x, y), hist) in origins.iter().zip(out.chunks_exact_mut(bins)) {
+            hist.copy_from_slice(&self.cell_histogram(&cell_patch(img, x, y, 0, 0)));
+        }
+    }
+
     /// A short human-readable name for reports.
     fn name(&self) -> &str;
 }
@@ -42,9 +70,29 @@ impl<T: CellExtractor + ?Sized> CellExtractor for &T {
     fn cell_histogram(&self, patch: &GrayImage) -> Vec<f32> {
         (**self).cell_histogram(patch)
     }
+    fn cell_histograms(&self, img: &GrayImage, origins: &[(usize, usize)], out: &mut [f32]) {
+        (**self).cell_histograms(img, origins, out)
+    }
     fn name(&self) -> &str {
         (**self).name()
     }
+}
+
+/// Asserts the [`CellExtractor::cell_histograms`] buffer contract.
+///
+/// # Panics
+///
+/// Panics if `out` does not hold one `bins`-value histogram per origin.
+pub(crate) fn check_histograms(bins: usize, origins: &[(usize, usize)], out: &[f32]) {
+    assert_eq!(out.len(), origins.len() * bins, "one {bins}-bin histogram per cell origin");
+}
+
+/// The top-left pixels of a `cells_x × cells_y` grid of cells whose
+/// first cell starts at `(x0, y0)`, row-major.
+pub fn grid_origins(x0: usize, y0: usize, cells_x: usize, cells_y: usize) -> Vec<(usize, usize)> {
+    (0..cells_y)
+        .flat_map(|cy| (0..cells_x).map(move |cx| (x0 + cx * CELL_SIZE, y0 + cy * CELL_SIZE)))
+        .collect()
 }
 
 /// Asserts the patch contract shared by all extractors.
@@ -76,8 +124,9 @@ pub fn cell_patch(
     img.crop(px, py, PATCH_SIZE, PATCH_SIZE)
 }
 
-/// Computes the per-cell histograms of a whole window: a
-/// `cells_x × cells_y` grid, returned row-major as `grid[cy][cx]`.
+/// Computes the per-cell histograms of a whole window in one
+/// [`CellExtractor::cell_histograms`] call: a `cells_x × cells_y` grid,
+/// returned row-major as `grid[cy][cx]`.
 pub fn window_cell_histograms<E: CellExtractor>(
     extractor: &E,
     img: &GrayImage,
@@ -86,16 +135,18 @@ pub fn window_cell_histograms<E: CellExtractor>(
     cells_x: usize,
     cells_y: usize,
 ) -> Vec<Vec<Vec<f32>>> {
+    let bins = extractor.bins();
+    let mut flat = vec![0.0; cells_x * cells_y * bins];
+    extractor.cell_histograms(img, &grid_origins(x0, y0, cells_x, cells_y), &mut flat);
+    nest_grid(&flat, cells_x, cells_y, bins)
+}
+
+/// Splits a flat row-major buffer of `cells_x × cells_y` histograms of
+/// `bins` values each into `grid[cy][cx]`.
+pub fn nest_grid(flat: &[f32], cells_x: usize, cells_y: usize, bins: usize) -> Vec<Vec<Vec<f32>>> {
     (0..cells_y)
         .map(|cy| {
-            (0..cells_x)
-                .map(|cx| {
-                    let patch = cell_patch(img, x0, y0, cx, cy);
-                    let h = extractor.cell_histogram(&patch);
-                    debug_assert_eq!(h.len(), extractor.bins());
-                    h
-                })
-                .collect()
+            (0..cells_x).map(|cx| flat[(cy * cells_x + cx) * bins..][..bins].to_vec()).collect()
         })
         .collect()
 }

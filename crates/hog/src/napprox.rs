@@ -24,12 +24,29 @@
 //!   arithmetic integral. This is bit-equivalent to the corelet
 //!   implementation in `pcnn-corelets`, which is how the workspace
 //!   reproduces the ≥ 99.5 % hardware/software correlation check.
+//!
+//! # The cell kernel
+//!
+//! [`NApproxHog`] computes cells with a table-driven kernel, its
+//! override of [`CellExtractor::cell_histograms`]. One call builds the
+//! direction table once — `f32` `(cos θ, sin θ)` per bin, or the integer
+//! weight LUT and vote threshold of the quantized mode — then walks each
+//! cell's rows straight from the image and computes a row's 8 pixels as
+//! fixed-width lanes: the same products and sums per pixel as the
+//! per-pixel loop (multiply and add kept separate), the same strict-`>`
+//! first-maximum tie-break, and the corelet's neighbour comparisons
+//! voted without branches. The per-pixel loops it replaced are kept
+//! verbatim in [`reference`](mod@reference), the oracle every kernel
+//! histogram matches bit for bit.
 
-use crate::cell::{check_patch, CellExtractor, CELL_SIZE, PATCH_SIZE};
+use crate::cell::{cell_patch, check_histograms, check_patch, CellExtractor, CELL_SIZE};
 use crate::quantize::Quantization;
 use pcnn_vision::GrayImage;
 use serde::{Deserialize, Serialize};
 use std::f32::consts::PI;
+use std::ops::Sub;
+
+pub mod reference;
 
 /// Quantization parameters for the TrueNorth-compatible mode.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -95,7 +112,7 @@ impl NApproxHog {
     pub fn weight_table(&self, scale: i32) -> Vec<(i32, i32)> {
         (0..self.bins)
             .map(|b| {
-                let theta = 2.0 * PI * (b as f32 + 0.5) / self.bins as f32;
+                let theta = self.center(b);
                 (
                     (theta.cos() * scale as f32).round() as i32,
                     (theta.sin() * scale as f32).round() as i32,
@@ -104,71 +121,172 @@ impl NApproxHog {
             .collect()
     }
 
-    /// Bin center angles in radians.
-    fn centers(&self) -> Vec<f32> {
-        (0..self.bins).map(|b| 2.0 * PI * (b as f32 + 0.5) / self.bins as f32).collect()
+    /// The center angle of bin `b` in radians.
+    fn center(&self, b: usize) -> f32 {
+        2.0 * PI * (b as f32 + 0.5) / self.bins as f32
     }
 
-    fn histogram_fp(&self, patch: &GrayImage) -> Vec<f32> {
-        let centers = self.centers();
-        let mut hist = vec![0.0f32; self.bins];
-        for y in 1..=CELL_SIZE {
-            for x in 1..=CELL_SIZE {
-                let (xi, yi) = (x as isize, y as isize);
-                let ix = patch.get_clamped(xi + 1, yi) - patch.get_clamped(xi - 1, yi);
-                let iy = patch.get_clamped(xi, yi - 1) - patch.get_clamped(xi, yi + 1);
-                let mut best = f32::NEG_INFINITY;
-                let mut best_bin = 0;
-                for (b, &theta) in centers.iter().enumerate() {
-                    let ip = ix * theta.cos() + iy * theta.sin();
-                    if ip > best {
-                        best = ip;
-                        best_bin = b;
+    /// The full-precision kernel: Table 1's argmax over the `f32`
+    /// direction table `(cos θ, sin θ)`, built once for all `origins`.
+    fn cells_fp(&self, img: &GrayImage, origins: &[(usize, usize)], out: &mut [f32]) {
+        let table: Vec<(f32, f32)> = (0..self.bins)
+            .map(|b| {
+                let theta = self.center(b);
+                (theta.cos(), theta.sin())
+            })
+            .collect();
+        let mut votes = vec![[0.0; LANES]; self.bins];
+        for (&origin, hist) in origins.iter().zip(out.chunks_exact_mut(self.bins)) {
+            for_each_row(
+                img,
+                origin,
+                |v| v,
+                |ix, iy| {
+                    let mut best = [f32::NEG_INFINITY; LANES];
+                    let mut best_bin = [0u32; LANES];
+                    for (b, &(c, s)) in table.iter().enumerate() {
+                        for k in 0..LANES {
+                            // Multiply and add kept separate, as in the
+                            // reference; the strict `>` keeps the first
+                            // maximal direction on ties.
+                            let ip = ix[k] * c + iy[k] * s;
+                            let better = ip > best[k];
+                            best[k] = if better { ip } else { best[k] };
+                            best_bin[k] = if better { b as u32 } else { best_bin[k] };
+                        }
                     }
-                }
-                if best > self.vote_threshold {
-                    hist[best_bin] += 1.0;
-                }
-            }
+                    for k in 0..LANES {
+                        let vote = best[k] > self.vote_threshold;
+                        votes[best_bin[k] as usize][k] += if vote { 1.0 } else { 0.0 };
+                    }
+                },
+            );
+            drain_votes(&mut votes, hist);
         }
-        hist
     }
 
-    fn histogram_quantized(&self, patch: &GrayImage, q: NApproxQuant) -> Vec<f32> {
+    /// The quantized kernel: integer inner products against the weight
+    /// table, voted by the corelet's neighbour comparison circuit, with
+    /// the table and threshold built once for all `origins`. Its lanes
+    /// compute in `f32`, which holds every integer of magnitude up to
+    /// 2^24 exactly; a configuration whose levels, inner products or
+    /// threshold could pass that (none of the paper's: 256 spikes at
+    /// weight scale 64 stay below 2^15) computes each cell with the
+    /// per-pixel [`reference`](mod@reference) instead.
+    fn cells_quantized(
+        &self,
+        q: NApproxQuant,
+        img: &GrayImage,
+        origins: &[(usize, usize)],
+        out: &mut [f32],
+    ) {
         let weights = self.weight_table(q.weight_scale);
         // Integer threshold in the same fixed-point scale as the inner
         // products: level × weight_scale.
         let thresh =
             (self.vote_threshold * q.input.levels() as f32 * q.weight_scale as f32).round() as i64;
-        // Quantize the patch to integer levels once.
-        let mut lv = [[0i64; PATCH_SIZE]; PATCH_SIZE];
-        for (y, row) in lv.iter_mut().enumerate() {
-            for (x, v) in row.iter_mut().enumerate() {
-                *v = i64::from(q.input.level_of(patch.get(x, y)));
+        // A level difference is at most `levels`, an inner product at
+        // most `levels` times the widest `|cos| + |sin|` weight pair.
+        let levels = i64::from(q.input.levels());
+        let widest = weights.iter().map(|&(c, s)| i64::from(c).abs() + i64::from(s).abs());
+        let largest = levels.max(levels.saturating_mul(widest.max().unwrap_or(0)));
+        let exact = 1 << f32::MANTISSA_DIGITS;
+        if largest > exact || thresh.unsigned_abs() > exact as u64 {
+            for (&(x, y), hist) in origins.iter().zip(out.chunks_exact_mut(self.bins)) {
+                hist.copy_from_slice(&reference::cell_histogram(
+                    self,
+                    &cell_patch(img, x, y, 0, 0),
+                ));
             }
+            return;
         }
-        let mut hist = vec![0.0f32; self.bins];
-        for y in 1..=CELL_SIZE {
-            for x in 1..=CELL_SIZE {
-                let ix = lv[y][x + 1] - lv[y][x - 1];
-                let iy = lv[y - 1][x] - lv[y + 1][x];
-                let ips: Vec<i64> =
-                    weights.iter().map(|&(c, s)| ix * i64::from(c) + iy * i64::from(s)).collect();
+        let table: Vec<(f32, f32)> = weights.iter().map(|&(c, s)| (c as f32, s as f32)).collect();
+        let thresh = thresh as f32;
+        let bins = self.bins;
+        let mut votes = vec![[0.0; LANES]; bins];
+        let level = |v: f32| q.input.level_of(v) as f32;
+        for (&origin, hist) in origins.iter().zip(out.chunks_exact_mut(bins)) {
+            for_each_row(img, origin, level, |ix, iy| {
+                let ip = |(c, s): (f32, f32)| -> [f32; LANES] {
+                    std::array::from_fn(|k| ix[k] * c + iy[k] * s)
+                };
+                let beats = |a: &[f32; LANES], b: &[f32; LANES]| -> [bool; LANES] {
+                    std::array::from_fn(|k| a[k] > b[k])
+                };
                 // The hardware comparison circuit (pcnn-corelets): bin b
                 // votes when it weakly beats its previous neighbour,
                 // strictly beats its next neighbour, and clears the
-                // magnitude threshold. For the quantized-cosine profile
-                // this selects the argmax, with hardware tie-breaking.
-                for b in 0..self.bins {
-                    let prev = ips[(b + self.bins - 1) % self.bins];
-                    let next = ips[(b + 1) % self.bins];
-                    if ips[b] >= prev && ips[b] > next && ips[b] > thresh {
-                        hist[b] += 1.0;
+                // magnitude threshold. One walk round the direction
+                // circle compares each adjacent pair once: exact
+                // integers never compare unordered, so "b weakly beats
+                // b − 1" is "b − 1 does not strictly beat b".
+                let first = ip(table[0]);
+                let mut current = first;
+                let mut beaten = beats(&ip(table[bins - 1]), &first);
+                for (b, votes) in votes.iter_mut().enumerate() {
+                    let next = table.get(b + 1).map_or(first, |&w| ip(w));
+                    let wins = beats(&current, &next);
+                    for k in 0..LANES {
+                        let vote = !beaten[k] & wins[k] & (current[k] > thresh);
+                        votes[k] += if vote { 1.0 } else { 0.0 };
                     }
+                    (beaten, current) = (wins, next);
                 }
-            }
+            });
+            drain_votes(&mut votes, hist);
         }
-        hist
+    }
+}
+
+/// Pixels one lane pass covers: one row of a cell.
+const LANES: usize = CELL_SIZE;
+/// One cell row with its left and right derivative neighbours.
+const SPAN: usize = LANES + 2;
+
+/// Walks the 8 rows of the cell whose top-left pixel is `(x0, y0)`,
+/// handing `row` each row's lanes of Table 1's pattern matches
+/// `Ix = p(x+1, y) − p(x−1, y)` and `Iy = p(x, y−1) − p(x, y+1)` over
+/// pixels mapped by `level`. Each image row is read once per cell,
+/// straight from the image.
+#[inline]
+fn for_each_row<T: Copy + Sub<Output = T>>(
+    img: &GrayImage,
+    (x0, y0): (usize, usize),
+    level: impl Fn(f32) -> T + Copy,
+    mut row: impl FnMut([T; LANES], [T; LANES]),
+) {
+    let y0 = y0 as isize;
+    let mut up = row_span(img, x0, y0 - 1, level);
+    let mut mid = row_span(img, x0, y0, level);
+    for y in y0..y0 + CELL_SIZE as isize {
+        let down = row_span(img, x0, y + 1, level);
+        let ix = std::array::from_fn(|k| mid[k + 2] - mid[k]);
+        let iy = std::array::from_fn(|k| up[k + 1] - down[k + 1]);
+        row(ix, iy);
+        (up, mid) = (mid, down);
+    }
+}
+
+/// Pixels `x0 − 1 ..= x0 + 8` of image row `y`, mapped by `level`;
+/// rows and columns beyond the image replicate its border.
+#[inline]
+fn row_span<T>(img: &GrayImage, x0: usize, y: isize, level: impl Fn(f32) -> T) -> [T; SPAN] {
+    let w = img.width();
+    let y = y.clamp(0, img.height() as isize - 1) as usize;
+    let row = &img.pixels()[y * w..][..w];
+    match x0.checked_sub(1).and_then(|x| row.get(x..)?.first_chunk::<SPAN>()) {
+        Some(span) => span.map(level),
+        None => std::array::from_fn(|i| level(row[(x0 + i).saturating_sub(1).min(w - 1)])),
+    }
+}
+
+/// Writes one cell's per-lane vote counts into its histogram and clears
+/// them. Counts are small integers, exact in `f32` in any order, so each
+/// bin equals the reference's sum of `1.0` per vote.
+fn drain_votes(votes: &mut [[f32; LANES]], hist: &mut [f32]) {
+    for (h, lanes) in hist.iter_mut().zip(votes) {
+        *h = lanes.iter().sum();
+        *lanes = [0.0; LANES];
     }
 }
 
@@ -177,11 +295,24 @@ impl CellExtractor for NApproxHog {
         self.bins
     }
 
+    /// The [`cell_histograms`](CellExtractor::cell_histograms) kernel on
+    /// the one cell at origin (1, 1) of the padded patch.
     fn cell_histogram(&self, patch: &GrayImage) -> Vec<f32> {
         check_patch(patch);
+        let mut hist = vec![0.0; self.bins];
+        self.cell_histograms(patch, &[(1, 1)], &mut hist);
+        hist
+    }
+
+    fn cell_histograms(&self, img: &GrayImage, origins: &[(usize, usize)], out: &mut [f32]) {
+        check_histograms(self.bins, origins, out);
+        // Nothing to vote into; the reference's loops never index then.
+        if self.bins == 0 {
+            return;
+        }
         match self.quant {
-            None => self.histogram_fp(patch),
-            Some(q) => self.histogram_quantized(patch, q),
+            None => self.cells_fp(img, origins, out),
+            Some(q) => self.cells_quantized(q, img, origins, out),
         }
     }
 

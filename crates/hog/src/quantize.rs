@@ -36,9 +36,20 @@ impl Quantization {
     }
 
     /// Quantizes `v ∈ [0, 1]` to its integer level (clamping outside
-    /// values).
+    /// values), rounding halves up.
+    #[inline]
     pub fn level_of(&self, v: f32) -> u32 {
-        (v.clamp(0.0, 1.0) * self.levels as f32).round() as u32
+        // `f32::round` without its library call on targets lacking a
+        // rounding instruction: for `x ≥ 0` the truncation is exact and
+        // so is `x − t` (t ≤ x < t + 1), so this is `x.round() as u32`
+        // for every input, NaN (0) included.
+        let x = v.clamp(0.0, 1.0) * self.levels as f32;
+        let t = x as u32;
+        if x - t as f32 >= 0.5 {
+            t + 1
+        } else {
+            t
+        }
     }
 
     /// The real value a level decodes to.
@@ -113,6 +124,24 @@ mod tests {
         assert_eq!(q.level_of(-1.0), 0);
         assert_eq!(q.level_of(2.0), 4);
         assert_eq!(q.value_of(99), 1.0);
+    }
+
+    #[test]
+    fn level_of_rounds_like_f32_round() {
+        let mut values = vec![f32::NAN, -0.0, 0.0, -1.0, 2.0, 0.5, 1.0, f32::INFINITY];
+        values.extend((0..=20_000).map(|i| i as f32 / 20_000.0));
+        for levels in [1, 3, 4, 7, 64, 255, 256, 1000, 1 << 20, 1 << 24, (1 << 24) + 1, u32::MAX] {
+            let q = Quantization::new(levels);
+            // Every exact half a level step apart, and its neighbours.
+            values.extend((0..levels.min(512)).flat_map(|l| {
+                let half = (l as f32 + 0.5) / levels as f32;
+                [half, half.next_down(), half.next_up()]
+            }));
+            for &v in &values {
+                let want = (v.clamp(0.0, 1.0) * levels as f32).round() as u32;
+                assert_eq!(q.level_of(v), want, "levels {levels}, v {v:e}");
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Temporal-coherence caching for video streams.
 //!
 //! Consecutive frames of a (near-)static camera share most of their
-//! pixels, so re-running the cell extractor — the expensive half of the
-//! pipeline — on every cell of every frame is wasted work. A
+//! pixels, so re-running the cell extractor on every cell of every
+//! frame is wasted work: even with NApprox's table-driven kernel a cell
+//! costs about a microsecond, several times its patch hash. A
 //! [`CellCache`] remembers, per pyramid level, a content hash of each
 //! cell's padded 10×10 input patch alongside the histogram it produced,
 //! plus a hash of each window's contributing cells alongside its
@@ -40,7 +41,7 @@
 
 use pcnn_core::pipeline::Detector;
 use pcnn_core::Extractor;
-use pcnn_hog::cell::{cell_patch, CELL_SIZE};
+use pcnn_hog::cell::CELL_SIZE;
 use pcnn_vision::pyramid::PyramidLevel;
 use pcnn_vision::{Detection, GrayImage, WINDOW_HEIGHT, WINDOW_WIDTH};
 
@@ -154,7 +155,9 @@ impl LevelCache {
     /// padded patch changed, and a window goes stale only when the hash
     /// over its cells did. Without it every cell is extracted and every
     /// window is stale, and nothing is hashed: the caller drops the
-    /// cache afterwards, so no later frame would read the hashes.
+    /// cache afterwards, so no later frame would read the hashes. Either
+    /// way the cells to extract go to the extractor in one
+    /// [`Extractor::cell_histograms`] call, in row-major order.
     pub(crate) fn refresh(
         &mut self,
         level: &PyramidLevel,
@@ -175,6 +178,7 @@ impl LevelCache {
             };
         }
         let mut stats = CacheStats::default();
+        let (mut changed, mut origins) = (Vec::new(), Vec::new());
         for idx in 0..cells_x * cells_y {
             let (cx, cy) = (idx % cells_x, idx / cells_x);
             if reuse {
@@ -188,10 +192,16 @@ impl LevelCache {
                 }
                 self.cell_hashes[idx] = h;
             }
-            self.histograms[idx] =
-                extractor.cell_histogram(&cell_patch(&level.image, 0, 0, cx, cy));
-            stats.cells_recomputed += 1;
+            changed.push(idx);
+            origins.push((cx * CELL_SIZE, cy * CELL_SIZE));
         }
+        let bins = extractor.bins();
+        let mut flat = vec![0.0; origins.len() * bins];
+        extractor.cell_histograms(&level.image, &origins, &mut flat);
+        for (i, &idx) in changed.iter().enumerate() {
+            self.histograms[idx] = flat[i * bins..][..bins].to_vec();
+        }
+        stats.cells_recomputed = changed.len() as u64;
 
         let (rows, cols) = Detector::window_grid(cells_x, cells_y);
         let n = rows * cols;

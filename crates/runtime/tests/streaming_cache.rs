@@ -1,6 +1,7 @@
 //! The temporal-cache determinism contract: streaming detection with
 //! the change-driven cell cache is bit-identical to a cold serial
-//! detect on every frame, the cache genuinely reuses work on static
+//! detect on every frame, for extractors with and without their own
+//! multi-cell kernel, the cache genuinely reuses work on static
 //! content, and the reuse/recompute counters depend only on pixel
 //! content — never on the worker count.
 
@@ -13,8 +14,12 @@ use pcnn_vision::{GrayImage, SynthConfig, SynthDataset, TemporalConfig, VideoStr
 
 /// Trains a small SVM detector on NApprox full-precision features.
 fn small_detector() -> TrainedDetector {
+    small_detector_on(Extractor::napprox_fp(BlockNorm::L2))
+}
+
+/// Trains a small SVM detector on `extractor`'s features.
+fn small_detector_on(extractor: Extractor) -> TrainedDetector {
     let ds = SynthDataset::new(SynthConfig::default());
-    let extractor = Extractor::napprox_fp(BlockNorm::L2);
     let mut xs = Vec::new();
     let mut ys = Vec::new();
     for i in 0..40 {
@@ -61,6 +66,39 @@ fn cached_streaming_is_bit_identical_to_cold_detection() {
                     b.score.to_bits(),
                     "{name}: frame {i} score bits differ"
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn cached_streaming_matches_cold_detection_on_every_cell_path() {
+    // The quantized Fig. 5 cells run NApprox's own multi-cell kernel,
+    // the FPGA cells the trait's per-patch default: on a sparse scene
+    // each warm frame hands both only its changed cells, in one call.
+    let engine = Detector::default();
+    // Walkers have entered the scene by frame 40.
+    let stream = VideoStream::new(TemporalConfig::sparse_scene(7));
+    let frames: Vec<GrayImage> = (40..44).map(|i| stream.render(i).image).collect();
+    for extractor in [Extractor::napprox_quantized(64, BlockNorm::None), Extractor::fpga()] {
+        let kind = extractor.kind();
+        let detector = small_detector_on(extractor);
+        let cold: Vec<_> = frames.iter().map(|f| engine.detect(&detector, f)).collect();
+        assert!(cold.iter().all(|d| !d.is_empty()), "{kind}: every frame has detections");
+        for workers in [1, 2] {
+            let server = server_with_workers(&detector, workers);
+            let handle = server.open_stream(StreamId::new(3));
+            for (i, (frame, cold)) in frames.iter().zip(&cold).enumerate() {
+                let warm = server.detect_stream(&handle, frame).expect("healthy stream frame");
+                let case = format!("{kind}, {workers} workers, frame {i}");
+                assert_eq!(&warm.detections, cold, "{case}: diverges from cold detect");
+                for (a, b) in warm.detections.iter().zip(cold) {
+                    assert_eq!(a.score.to_bits(), b.score.to_bits(), "{case}: score bits");
+                }
+                if i > 0 {
+                    assert!(warm.cells_reused > 0, "{case}: nothing reused");
+                    assert!(warm.cells_recomputed > 0, "{case}: nothing recomputed");
+                }
             }
         }
     }

@@ -65,7 +65,9 @@ pub use clock::Clock;
 pub use profile::{ProfileReport, StageProfile};
 pub use span::{Counter, SpanRecord, MAX_COUNTERS};
 pub use trace::{LaneTrace, Trace};
-pub use tracer::{is_enabled, profile_snapshot, span, SpanGuard, Tracer};
+pub use tracer::{
+    is_enabled, mark, profile_since, profile_snapshot, span, SpanGuard, TraceMark, Tracer,
+};
 
 /// Stage names used by the workspace's instrumentation, so tests and
 /// exporters reference one canonical spelling.

@@ -390,15 +390,48 @@ impl Tracer {
 /// Aggregates the installed tracer's spans collected so far into a
 /// [`ProfileReport`](crate::ProfileReport) without consuming them, or
 /// `None` when tracing is off. Each call clones and sorts every span
-/// recorded so far. The serving tier calls it once per
-/// `pcnn_cluster::Cluster::report`, to surface live per-stage timings
-/// in the cluster report's trace summary.
+/// recorded so far.
 pub fn profile_snapshot() -> Option<crate::ProfileReport> {
-    let tracer = Tracer::global();
-    if !tracer.is_recording() {
-        return None;
+    profile_since(TraceMark::default())
+}
+
+/// A point on the installed tracer's timeline, taken by [`mark`]. The
+/// default mark precedes every span of every tracer.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TraceMark {
+    /// The generation of the tracer the reading was taken on; 0 when
+    /// none was installed (installed tracers start at 1).
+    generation: u64,
+    /// That tracer's clock reading.
+    ns: u64,
+}
+
+/// Marks the present moment on the installed tracer's clock (one clock
+/// reading), for [`profile_since`]. With no tracer installed, the mark
+/// precedes every span a tracer installed later records.
+pub fn mark() -> TraceMark {
+    match GLOBAL.lock().unwrap_or_else(|p| p.into_inner()).as_ref() {
+        Some(shared) => TraceMark { generation: shared.generation, ns: shared.clock.now_ns() },
+        None => TraceMark::default(),
     }
-    Some(tracer.snapshot().profile())
+}
+
+/// Like [`profile_snapshot`], over only the spans that started at or
+/// after `mark`: every span, when the installed tracer was installed
+/// after the mark was taken. The serving tier calls it once per
+/// `pcnn_cluster::Cluster::report`, with a mark taken when the cluster
+/// was built, to surface the live per-stage timings of that cluster's
+/// lifetime in its report.
+pub fn profile_since(mark: TraceMark) -> Option<crate::ProfileReport> {
+    let tracer = Tracer::global();
+    let shared = tracer.shared.as_ref().filter(|_| tracer.is_recording())?;
+    let mut trace = tracer.snapshot();
+    if shared.generation == mark.generation {
+        for lane in &mut trace.lanes {
+            lane.spans.retain(|s| s.start_ns >= mark.ns);
+        }
+    }
+    Some(trace.profile())
 }
 
 #[cfg(test)]
@@ -476,6 +509,29 @@ mod tests {
         Tracer::uninstall();
         assert_eq!(trace.span_count(), 3);
         assert_eq!(trace.counter_total("worker", Counter::Windows), 30);
+    }
+
+    #[test]
+    fn profile_since_counts_spans_started_after_the_mark() {
+        let _guard = test_lock::hold();
+        Tracer::uninstall();
+        let before_install = mark();
+        let _tracer = Tracer::install(Clock::mock());
+        drop(span("early"));
+        let middle = mark();
+        drop(span("late"));
+        let count = |p: &crate::ProfileReport, name| p.stage(name).map(|s| s.count);
+        let since = profile_since(middle).expect("a tracer is installed");
+        assert_eq!((count(&since, "early"), count(&since, "late")), (None, Some(1)));
+        let all = profile_since(before_install).expect("a tracer is installed");
+        assert_eq!((count(&all, "early"), count(&all, "late")), (Some(1), Some(1)));
+        // A mark from an earlier tracer precedes every span of a new one.
+        let _fresh = Tracer::install(Clock::mock());
+        drop(span("fresh"));
+        let fresh = profile_since(middle).expect("a tracer is installed");
+        assert_eq!(count(&fresh, "fresh"), Some(1));
+        Tracer::uninstall();
+        assert!(profile_since(middle).is_none());
     }
 
     #[test]
