@@ -32,7 +32,6 @@ fn main() {
         let _ = napprox.extract(p);
     }
     let n_stats = napprox.stats();
-    let ticks_per_cell = u64::from(napprox.ticks_per_cell());
 
     // --- Parrot module ---
     println!("training a parrot module…");
@@ -103,5 +102,4 @@ fn main() {
          tick), so an activity-based model narrows the paper's static-power\n\
          gap — exactly the kind of co-optimization §6 leaves as future work."
     );
-    let _ = ticks_per_cell;
 }

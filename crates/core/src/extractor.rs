@@ -9,7 +9,7 @@ use pcnn_truenorth::{FaultPlan, FaultStats, SystemStats};
 use pcnn_vision::GrayImage;
 use serde::{Deserialize, Serialize};
 use std::str::FromStr;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Which extraction paradigm an [`Extractor`] embodies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -144,13 +144,19 @@ struct HardwareNApprox {
     module: Mutex<NApproxHogCorelet>,
 }
 
+impl HardwareNApprox {
+    fn lock(&self) -> MutexGuard<'_, NApproxHogCorelet> {
+        self.module.lock().expect("hardware module lock poisoned")
+    }
+}
+
 impl CellExtractor for HardwareNApprox {
     fn bins(&self) -> usize {
         18
     }
 
     fn cell_histogram(&self, patch: &GrayImage) -> Vec<f32> {
-        self.module.lock().expect("hardware module lock poisoned").extract(patch)
+        self.lock().extract(patch)
     }
 
     fn name(&self) -> &str {
@@ -162,19 +168,20 @@ impl CellExtractor for HardwareNApprox {
 // enum is created a handful of times per experiment, so boxing would
 // only add indirection.
 #[allow(clippy::large_enum_variant)]
-enum Inner {
-    Fpga(HogDescriptor<FpgaHog>),
-    Traditional(HogDescriptor<TraditionalHog>),
-    NApprox(HogDescriptor<NApproxHog>),
-    Hardware(HogDescriptor<HardwareNApprox>),
-    Parrot(HogDescriptor<ParrotExtractor>),
-    Raw(HogDescriptor<RawCells>),
+enum Cells {
+    Fpga(FpgaHog),
+    Traditional(TraditionalHog),
+    NApprox(NApproxHog),
+    Hardware(HardwareNApprox),
+    Parrot(ParrotExtractor),
+    Raw(RawCells),
 }
 
 /// A window-level feature extractor of any paradigm.
 pub struct Extractor {
     kind: ExtractorKind,
-    inner: Inner,
+    cells: Cells,
+    norm: BlockNorm,
 }
 
 impl std::fmt::Debug for Extractor {
@@ -189,7 +196,8 @@ impl Extractor {
     pub fn fpga() -> Self {
         Extractor {
             kind: ExtractorKind::Fpga,
-            inner: Inner::Fpga(HogDescriptor::new(FpgaHog::new(), BlockNorm::L2)),
+            cells: Cells::Fpga(FpgaHog::new()),
+            norm: BlockNorm::L2,
         }
     }
 
@@ -197,7 +205,8 @@ impl Extractor {
     pub fn traditional() -> Self {
         Extractor {
             kind: ExtractorKind::Traditional,
-            inner: Inner::Traditional(HogDescriptor::new(TraditionalHog::new(), BlockNorm::L2)),
+            cells: Cells::Traditional(TraditionalHog::new()),
+            norm: BlockNorm::L2,
         }
     }
 
@@ -207,10 +216,8 @@ impl Extractor {
     pub fn traditional_signed_18() -> Self {
         Extractor {
             kind: ExtractorKind::Traditional,
-            inner: Inner::Traditional(HogDescriptor::new(
-                TraditionalHog::signed_18(),
-                BlockNorm::L2,
-            )),
+            cells: Cells::Traditional(TraditionalHog::signed_18()),
+            norm: BlockNorm::L2,
         }
     }
 
@@ -220,7 +227,8 @@ impl Extractor {
     pub fn napprox_fp(norm: BlockNorm) -> Self {
         Extractor {
             kind: ExtractorKind::NApproxFp,
-            inner: Inner::NApprox(HogDescriptor::new(NApproxHog::full_precision(), norm)),
+            cells: Cells::NApprox(NApproxHog::full_precision()),
+            norm,
         }
     }
 
@@ -233,7 +241,8 @@ impl Extractor {
             } else {
                 ExtractorKind::NApproxFp
             },
-            inner: Inner::NApprox(HogDescriptor::new(model, norm)),
+            cells: Cells::NApprox(model),
+            norm,
         }
     }
 
@@ -241,7 +250,8 @@ impl Extractor {
     pub fn napprox_quantized(spikes: u32, norm: BlockNorm) -> Self {
         Extractor {
             kind: ExtractorKind::NApproxQuantized,
-            inner: Inner::NApprox(HogDescriptor::new(NApproxHog::quantized(spikes), norm)),
+            cells: Cells::NApprox(NApproxHog::quantized(spikes)),
+            norm,
         }
     }
 
@@ -255,19 +265,13 @@ impl Extractor {
     /// [`napprox_quantized`]: Extractor::napprox_quantized
     pub fn napprox_hardware(spikes: u32, norm: BlockNorm) -> Self {
         let hw = HardwareNApprox { module: Mutex::new(NApproxHogCorelet::new(spikes)) };
-        Extractor {
-            kind: ExtractorKind::NApproxHardware,
-            inner: Inner::Hardware(HogDescriptor::new(hw, norm)),
-        }
+        Extractor { kind: ExtractorKind::NApproxHardware, cells: Cells::Hardware(hw), norm }
     }
 
     /// A trained Parrot extractor (Fig. 5 configuration: no block
     /// normalization, matching the TrueNorth classifier path).
     pub fn parrot(parrot: ParrotExtractor, norm: BlockNorm) -> Self {
-        Extractor {
-            kind: ExtractorKind::Parrot,
-            inner: Inner::Parrot(HogDescriptor::new(parrot, norm)),
-        }
+        Extractor { kind: ExtractorKind::Parrot, cells: Cells::Parrot(parrot), norm }
     }
 
     /// Raw window pixels for the Absorbed paradigm (8192 values per
@@ -275,7 +279,8 @@ impl Extractor {
     pub fn raw() -> Self {
         Extractor {
             kind: ExtractorKind::Raw,
-            inner: Inner::Raw(HogDescriptor::new(RawCells::new(), BlockNorm::None)),
+            cells: Cells::Raw(RawCells::new()),
+            norm: BlockNorm::None,
         }
     }
 
@@ -284,33 +289,47 @@ impl Extractor {
         self.kind
     }
 
+    /// The cell extractor behind every paradigm.
+    fn cells(&self) -> &dyn CellExtractor {
+        match &self.cells {
+            Cells::Fpga(e) => e,
+            Cells::Traditional(e) => e,
+            Cells::NApprox(e) => e,
+            Cells::Hardware(e) => e,
+            Cells::Parrot(e) => e,
+            Cells::Raw(e) => e,
+        }
+    }
+
+    /// The simulated module, locked — `None` for paradigms without
+    /// simulated cores.
+    fn hardware(&self) -> Option<MutexGuard<'_, NApproxHogCorelet>> {
+        match &self.cells {
+            Cells::Hardware(hw) => Some(hw.lock()),
+            _ => None,
+        }
+    }
+
     /// Captures the constructor arguments of this extractor as a
     /// serializable [`ExtractorSpec`]. Transient runtime state (an
     /// attached fault plan, accumulated hardware activity counters) is
     /// deliberately excluded; the Parrot stochastic RNG position *is*
     /// captured so a restored extractor resumes the noise stream.
     pub fn spec(&self) -> ExtractorSpec {
-        match &self.inner {
-            Inner::Fpga(_) => ExtractorSpec::Fpga,
-            Inner::Traditional(d) => {
-                ExtractorSpec::Traditional { signed_18: d.extractor().bins() == 18 }
+        let norm = self.norm;
+        match &self.cells {
+            Cells::Fpga(_) => ExtractorSpec::Fpga,
+            Cells::Traditional(e) => ExtractorSpec::Traditional { signed_18: e.bins() == 18 },
+            Cells::NApprox(model) => ExtractorSpec::NApprox { model: *model, norm },
+            Cells::Hardware(hw) => {
+                ExtractorSpec::NApproxHardware { spikes: hw.lock().window(), norm }
             }
-            Inner::NApprox(d) => ExtractorSpec::NApprox { model: *d.extractor(), norm: d.norm() },
-            Inner::Hardware(d) => ExtractorSpec::NApproxHardware {
-                spikes: d
-                    .extractor()
-                    .module
-                    .lock()
-                    .expect("hardware module lock poisoned")
-                    .window(),
-                norm: d.norm(),
+            Cells::Parrot(p) => ExtractorSpec::Parrot {
+                net: p.net().clone(),
+                norm,
+                stochastic: p.stochastic_state(),
             },
-            Inner::Parrot(d) => ExtractorSpec::Parrot {
-                net: d.extractor().net().clone(),
-                norm: d.norm(),
-                stochastic: d.extractor().stochastic_state(),
-            },
-            Inner::Raw(_) => ExtractorSpec::Raw,
+            Cells::Raw(_) => ExtractorSpec::Raw,
         }
     }
 
@@ -368,14 +387,7 @@ impl Extractor {
 
     /// Descriptor dimensionality.
     pub fn len(&self) -> usize {
-        match &self.inner {
-            Inner::Fpga(d) => d.len(),
-            Inner::Traditional(d) => d.len(),
-            Inner::NApprox(d) => d.len(),
-            Inner::Hardware(d) => d.len(),
-            Inner::Parrot(d) => d.len(),
-            Inner::Raw(d) => d.len(),
-        }
+        HogDescriptor::new(self.cells(), self.norm).len()
     }
 
     /// Whether descriptors are empty (never, for valid configurations).
@@ -385,38 +397,17 @@ impl Extractor {
 
     /// Number of orientation bins per cell.
     pub fn bins(&self) -> usize {
-        match &self.inner {
-            Inner::Fpga(d) => d.extractor().bins(),
-            Inner::Traditional(d) => d.extractor().bins(),
-            Inner::NApprox(d) => d.extractor().bins(),
-            Inner::Hardware(d) => d.extractor().bins(),
-            Inner::Parrot(d) => d.extractor().bins(),
-            Inner::Raw(d) => d.extractor().bins(),
-        }
+        self.cells().bins()
     }
 
     /// Block-normalization policy.
     pub fn norm(&self) -> BlockNorm {
-        match &self.inner {
-            Inner::Fpga(d) => d.norm(),
-            Inner::Traditional(d) => d.norm(),
-            Inner::NApprox(d) => d.norm(),
-            Inner::Hardware(d) => d.norm(),
-            Inner::Parrot(d) => d.norm(),
-            Inner::Raw(d) => d.norm(),
-        }
+        self.norm
     }
 
     /// The descriptor of a window at `(x0, y0)` in `img`.
     pub fn window_descriptor(&self, img: &GrayImage, x0: usize, y0: usize) -> Vec<f32> {
-        match &self.inner {
-            Inner::Fpga(d) => d.window_descriptor(img, x0, y0),
-            Inner::Traditional(d) => d.window_descriptor(img, x0, y0),
-            Inner::NApprox(d) => d.window_descriptor(img, x0, y0),
-            Inner::Hardware(d) => d.window_descriptor(img, x0, y0),
-            Inner::Parrot(d) => d.window_descriptor(img, x0, y0),
-            Inner::Raw(d) => d.window_descriptor(img, x0, y0),
-        }
+        HogDescriptor::new(self.cells(), self.norm).window_descriptor(img, x0, y0)
     }
 
     /// The descriptor of an exactly window-sized crop.
@@ -431,14 +422,7 @@ impl Extractor {
     /// The histogram of one padded 10×10 cell patch — the unit the
     /// per-level cell grid caches.
     pub fn cell_histogram(&self, patch: &GrayImage) -> Vec<f32> {
-        match &self.inner {
-            Inner::Fpga(d) => d.extractor().cell_histogram(patch),
-            Inner::Traditional(d) => d.extractor().cell_histogram(patch),
-            Inner::NApprox(d) => d.extractor().cell_histogram(patch),
-            Inner::Hardware(d) => d.extractor().cell_histogram(patch),
-            Inner::Parrot(d) => d.extractor().cell_histogram(patch),
-            Inner::Raw(d) => d.extractor().cell_histogram(patch),
-        }
+        self.cells().cell_histogram(patch)
     }
 
     /// The histograms of the cells of `img` whose top-left pixels are
@@ -451,14 +435,7 @@ impl Extractor {
     ///
     /// Panics if `out.len() != origins.len() * self.bins()`.
     pub fn cell_histograms(&self, img: &GrayImage, origins: &[(usize, usize)], out: &mut [f32]) {
-        match &self.inner {
-            Inner::Fpga(d) => d.extractor().cell_histograms(img, origins, out),
-            Inner::Traditional(d) => d.extractor().cell_histograms(img, origins, out),
-            Inner::NApprox(d) => d.extractor().cell_histograms(img, origins, out),
-            Inner::Hardware(d) => d.extractor().cell_histograms(img, origins, out),
-            Inner::Parrot(d) => d.extractor().cell_histograms(img, origins, out),
-            Inner::Raw(d) => d.extractor().cell_histograms(img, origins, out),
-        }
+        self.cells().cell_histograms(img, origins, out)
     }
 
     /// Attaches a fault-injection plan to the simulated hardware behind
@@ -473,13 +450,9 @@ impl Extractor {
     /// hardware; [`Error::TrueNorth`] if the plan does not fit the
     /// module's fabric.
     pub fn set_fault_plan(&self, plan: &FaultPlan) -> crate::error::Result<()> {
-        match &self.inner {
-            Inner::Hardware(d) => {
-                let mut module =
-                    d.extractor().module.lock().expect("hardware module lock poisoned");
-                module.set_fault_plan(plan).map_err(Error::from)
-            }
-            _ => Err(Error::InvalidConfig {
+        match self.hardware() {
+            Some(mut module) => module.set_fault_plan(plan).map_err(Error::from),
+            None => Err(Error::InvalidConfig {
                 what: "fault plan".to_owned(),
                 reason: format!(
                     "the {} paradigm has no simulated hardware to inject into \
@@ -493,31 +466,21 @@ impl Extractor {
     /// Detaches any fault plan from the simulated hardware. A no-op for
     /// paradigms without simulated cores.
     pub fn clear_fault_plan(&self) {
-        if let Inner::Hardware(d) = &self.inner {
-            d.extractor().module.lock().expect("hardware module lock poisoned").clear_fault_plan();
+        if let Some(mut module) = self.hardware() {
+            module.clear_fault_plan();
         }
     }
 
     /// Fault-activity counters from the simulated hardware — `None`
     /// unless this is the hardware paradigm with a plan attached.
     pub fn fault_stats(&self) -> Option<FaultStats> {
-        match &self.inner {
-            Inner::Hardware(d) => {
-                d.extractor().module.lock().expect("hardware module lock poisoned").fault_stats()
-            }
-            _ => None,
-        }
+        self.hardware()?.fault_stats()
     }
 
     /// Activity counters from the simulated hardware — `None` for
     /// paradigms without simulated cores.
     pub fn hardware_stats(&self) -> Option<SystemStats> {
-        match &self.inner {
-            Inner::Hardware(d) => {
-                Some(d.extractor().module.lock().expect("hardware module lock poisoned").stats())
-            }
-            _ => None,
-        }
+        self.hardware().map(|module| module.stats())
     }
 }
 
@@ -586,6 +549,38 @@ mod tests {
         assert_eq!(h.len(), s.len());
         let corr = pcnn_hog::quantize::pearson_correlation(&h, &s).unwrap();
         assert!(corr > 0.8, "corr {corr}");
+    }
+
+    #[test]
+    fn hardware_window_matches_software_model() {
+        let hw = Extractor::napprox_hardware(64, BlockNorm::None);
+        let img = GrayImage::from_fn(64, 128, |x, y| {
+            0.5 + 0.35 * ((x as f32 * 0.31).sin() * (y as f32 * 0.17).cos())
+        });
+        let hw_desc = hw.crop_descriptor(&img);
+        // Software model, cell by cell, same decision circuit.
+        let sw = NApproxHog::quantized(64);
+        let mut sw_desc = Vec::new();
+        for cy in 0..16 {
+            for cx in 0..8 {
+                sw_desc.extend(sw.cell_histogram(&pcnn_hog::cell::cell_patch(&img, 0, 0, cx, cy)));
+            }
+        }
+        assert_eq!(hw_desc.len(), sw_desc.len());
+        let corr = pcnn_hog::quantize::pearson_correlation(&hw_desc, &sw_desc).unwrap();
+        assert!(corr > 0.995, "window-level hw/sw correlation {corr}");
+        // 128 cells through the one module, 68 ticks each: the simulator
+        // work behind one served crop.
+        assert_eq!(
+            hw.hardware_stats(),
+            Some(SystemStats {
+                ticks: 128 * 68,
+                routed_spikes: 189_155,
+                output_spikes: 7_368,
+                injected_spikes: 1_050_760,
+                synaptic_events: 57_261_971,
+            })
+        );
     }
 
     #[test]

@@ -37,6 +37,29 @@
 //! matching the paper's "26 TrueNorth cores … throughput of 15 cells/sec"
 //! within packing slack.
 //!
+//! # Chip-scale arrays
+//!
+//! The paper's Fig. 5 classifier budget is 2864 TrueNorth cores, and the
+//! power model assumes full 4096-core chips.
+//! [`NApproxHogCorelet::array`] tiles the module into one shared
+//! simulated system: every cell gets its own block of ~30 cores and its
+//! own 18-pin histogram window, and all cells decide **concurrently** —
+//! one coding window amortizes over the whole array instead of one cell.
+//! [`NApproxHogCorelet::new`] is the one-module array, driven by the same
+//! host loop.
+//!
+//! Arrays can span chips: [`NApproxHogCorelet::set_mesh`] places the
+//! cores onto 4096-core chips on a line mesh, after which modules that
+//! straddle a chip boundary pay the configured hop latency on their
+//! internal stage-1 → AND routes. Because each vote's three verdict
+//! spikes travel the same core-to-core route, they stay coincident under
+//! any uniform transit delay, so straddling modules produce the same
+//! histograms — just a few ticks later (the drain window extends
+//! accordingly). Fault plans attach to the whole array
+//! ([`NApproxHogCorelet::set_fault_plan`]), which is how the chip-scale
+//! yield/degradation experiments run the Fig. 5 configuration under
+//! `pcnn-faults` injection.
+//!
 //! # Validation ([`validate`])
 //!
 //! [`validate::correlation_study`] reproduces the paper's §3.1 check: the
@@ -47,12 +70,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fig5;
 pub mod napprox;
 pub mod validate;
-pub mod window;
 
-pub use fig5::Fig5CellArray;
 pub use napprox::NApproxHogCorelet;
 pub use validate::{correlation_study, CorrelationReport};
-pub use window::NApproxWindowExtractor;

@@ -7,7 +7,7 @@
 //! circuit is window-agnostic so the differential check against the
 //! standalone single-cell module is exact at any width.
 
-use pcnn_corelets::{Fig5CellArray, NApproxHogCorelet};
+use pcnn_corelets::NApproxHogCorelet;
 use pcnn_truenorth::FaultPlan;
 use pcnn_vision::GrayImage;
 
@@ -27,7 +27,7 @@ fn patches(n: usize) -> Vec<GrayImage> {
 
 #[test]
 fn full_chip_runs_under_fault_injection() {
-    let mut array = Fig5CellArray::new(SPIKES, FULL_CHIP_CELLS);
+    let mut array = NApproxHogCorelet::array(SPIKES, FULL_CHIP_CELLS);
     assert_eq!(array.core_count(), 4080);
     assert_eq!(array.chip_count(), 1);
 
@@ -73,7 +73,7 @@ fn two_chip_mesh_runs_under_fault_injection() {
     // occupy 4110 cores, so cell 136 owns cores 4080..4110 and is split
     // across chips 0 and 1 by the sequential placement.
     let cells = FULL_CHIP_CELLS + 1;
-    let mut array = Fig5CellArray::new(SPIKES, cells);
+    let mut array = NApproxHogCorelet::array(SPIKES, cells);
     assert_eq!(array.core_count(), 4110);
     assert_eq!(array.chip_count(), 2);
     array.set_mesh(2).expect("line mesh over two chips");

@@ -547,10 +547,10 @@ impl<'d> DetectionServer<'d> {
     }
 
     /// Snapshots the serving metrics. Pass the simulator counters when
-    /// the detector runs on the TrueNorth substrate (e.g. from
-    /// `NApproxHogCorelet::stats`) to thread them into the report. The
-    /// report carries per-level batch counts and degradation totals when
-    /// the server has a fallback chain.
+    /// the detector runs on the TrueNorth substrate (from
+    /// [`pcnn_core::Extractor::hardware_stats`]) to thread them into the
+    /// report. The report carries per-level batch counts and degradation
+    /// totals when the server has a fallback chain.
     pub fn report(&self, system: Option<SystemStats>) -> RuntimeReport {
         let mut report = self.metrics.report(self.config.workers, system);
         report.levels = self
