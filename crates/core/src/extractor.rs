@@ -416,7 +416,7 @@ impl Extractor {
     ///
     /// Panics if `crop` is not 64×128.
     pub fn crop_descriptor(&self, crop: &GrayImage) -> Vec<f32> {
-        self.window_descriptor(crop, 0, 0)
+        HogDescriptor::new(self.cells(), self.norm).crop_descriptor(crop)
     }
 
     /// The histogram of one padded 10×10 cell patch — the unit the
@@ -506,6 +506,13 @@ mod tests {
         // First cell block starts with pixel (0,0).
         assert_eq!(d[0], img.get(0, 0));
         assert_eq!(d.len(), 8192);
+    }
+
+    #[test]
+    #[should_panic(expected = "crop must be exactly one detection window")]
+    fn crop_descriptor_rejects_other_sizes() {
+        let crop = GrayImage::from_fn(32, 32, |x, y| ((x * y) % 5) as f32 / 5.0);
+        Extractor::napprox_fp(BlockNorm::L2).crop_descriptor(&crop);
     }
 
     #[test]

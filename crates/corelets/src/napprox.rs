@@ -453,6 +453,37 @@ mod tests {
     }
 
     #[test]
+    fn module_matches_on_the_reference_engine() {
+        // The served module on the scan oracle: histograms and every
+        // counter equal the event engine's, healthy and under a fabric
+        // that drops, duplicates and delays spikes.
+        use pcnn_truenorth::{Engine, FaultPlan};
+        let patches: Vec<GrayImage> = (0..3)
+            .map(|k| {
+                GrayImage::from_fn(10, 10, |x, y| {
+                    0.5 + 0.4 * ((x as f32 * (0.5 + 0.2 * k as f32)).sin() * (y as f32 * 0.8).cos())
+                })
+            })
+            .collect();
+        let noisy = FaultPlan::seeded(9)
+            .with_drop_rate(0.05)
+            .with_duplicate_rate(0.05)
+            .with_delay_jitter(0.1, 2);
+        for plan in [None, Some(&noisy)] {
+            let run = |engine: Engine| {
+                let mut array = NApproxHogCorelet::array(64, 3);
+                array.system.set_engine(engine);
+                if let Some(plan) = plan {
+                    array.set_fault_plan(plan).unwrap();
+                }
+                let histograms = array.extract_batch(&patches);
+                (histograms, array.stats(), array.fault_stats(), array.system.rng_state())
+            };
+            assert_eq!(run(Engine::Reference), run(Engine::Event), "plan {plan:?}");
+        }
+    }
+
+    #[test]
     fn paper_classifier_fits_the_budget() {
         let array = NApproxHogCorelet::paper_classifier(64);
         assert!(array.core_count() <= 2864, "cores = {}", array.core_count());

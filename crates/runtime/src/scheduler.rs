@@ -1,11 +1,10 @@
 //! Deterministic work scheduling over a fixed pool of scoped threads.
 //!
-//! The index-ordered map primitives live in the `pcnn-sched` crate so
-//! the TrueNorth simulator's deterministic parallel tick can share them
-//! without depending on the serving runtime; they are re-exported here
-//! under their historical paths. This module keeps the detection-batch
-//! specific work decomposition: [`plan_chunks`] splits the window-row
-//! grids of a frame batch into [`Chunk`]s in serial scan order.
+//! The index-ordered map primitives live in the `pcnn-sched` crate and
+//! are re-exported here under their historical paths. This module keeps
+//! the detection-batch specific work decomposition: [`plan_chunks`]
+//! splits the window-row grids of a frame batch into [`Chunk`]s in
+//! serial scan order.
 
 pub use pcnn_sched::{parallel_map, try_parallel_map, WorkerPanic};
 

@@ -1,12 +1,11 @@
 //! Deterministic work scheduling over a fixed pool of scoped threads.
 //!
-//! Independent work items (frames, pyramid levels, window-row chunks,
-//! simulator core partitions) are executed by [`parallel_map`]: a pure
-//! function over item indices runs on `workers` threads and returns
-//! results **in index order**, so callers that concatenate results
-//! reproduce the serial traversal exactly — parallelism never reorders
-//! output. Both the detection-serving runtime and the TrueNorth
-//! simulator's deterministic parallel tick build on this primitive.
+//! Independent work items (frames, pyramid levels, window-row chunks)
+//! are executed by [`parallel_map`]: a pure function over item indices
+//! runs on `workers` threads and returns results **in index order**, so
+//! callers that concatenate results reproduce the serial traversal
+//! exactly — parallelism never reorders output. The detection-serving
+//! runtime builds on this primitive.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -138,10 +138,10 @@ impl NeuronState {
 
     /// Like [`leak_and_fire`](NeuronState::leak_and_fire), but with the
     /// stochastic threshold offset `eta` supplied by the caller instead of
-    /// drawn here. The event-driven engine pre-draws etas serially (in the
-    /// canonical core/neuron order) so parallel core stepping consumes the
-    /// exact RNG stream of the serial sweep; pass `0` for deterministic
-    /// neurons.
+    /// drawn here. The event-driven engine pre-draws a core's etas (in
+    /// ascending neuron order) just before stepping it, so its sweep of
+    /// the neurons that can change state consumes the exact RNG stream of
+    /// the full scan; pass `0` for deterministic neurons.
     #[inline]
     pub fn leak_and_fire_with_eta(&mut self, cfg: &NeuronConfig, eta: i64) -> bool {
         self.potential += i64::from(cfg.leak);
