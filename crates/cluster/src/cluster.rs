@@ -34,22 +34,6 @@ const SUPERVISE_SLICE: Duration = Duration::from_millis(5);
 /// this long is abandoned in place.
 const HEAL_GRACE: Duration = Duration::from_secs(5);
 
-/// How [`Cluster::swap_model`] rolls a new model generation across the
-/// shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum SwapPolicy {
-    /// Shard by shard: each shard publishes and drains before the next
-    /// swaps. At most one shard is ever draining, so capacity dips by
-    /// at most one replica — the safe default.
-    #[default]
-    Rolling,
-    /// All shards at once: every detector is rebuilt up front (failing
-    /// fast before any shard changes), then every shard publishes and
-    /// drains concurrently. Fastest convergence to the new generation,
-    /// at the cost of the whole tier draining at the same time.
-    Parallel,
-}
-
 /// Self-healing parameters: how the tier detects, retries and recovers
 /// from shard failures. They cover every serve call —
 /// [`Cluster::serve`], [`Cluster::serve_streams`] and the SLO harnesses
@@ -106,9 +90,6 @@ pub struct ClusterConfig {
     /// caches plus trackers). The least recently served stream is
     /// evicted when a shard exceeds it; eviction costs only warmth.
     pub stream_cache_capacity: usize,
-    /// How [`swap_model`](Cluster::swap_model) rolls new generations
-    /// across the shards.
-    pub swap: SwapPolicy,
     /// Self-healing: stall detection, edge retries and shard respawn.
     /// Defaults preserve pre-supervision behaviour (no retries, 5 s
     /// stall threshold, respawn on).
@@ -124,7 +105,6 @@ impl Default for ClusterConfig {
             runtime: RuntimeConfig::default(),
             queue: QueueConfig::default(),
             stream_cache_capacity: 64,
-            swap: SwapPolicy::Rolling,
             supervision: SupervisionConfig::default(),
         }
     }
@@ -231,13 +211,6 @@ impl ClusterConfigBuilder {
     #[must_use]
     pub fn stream_cache_capacity(mut self, capacity: usize) -> Self {
         self.config.stream_cache_capacity = capacity;
-        self
-    }
-
-    /// How model swaps roll across the shards.
-    #[must_use]
-    pub fn swap_policy(mut self, policy: SwapPolicy) -> Self {
-        self.config.swap = policy;
         self
     }
 
@@ -699,54 +672,26 @@ impl Cluster {
         self.lock_router().route(stream.raw())
     }
 
-    /// Blue/green swap across the shards, honouring the configured
-    /// [`SwapPolicy`]: each shard publishes the model rebuilt from
-    /// `snapshot`, then drains the batches in flight under older
-    /// generations. Queued frames are untouched throughout — every
-    /// submitted frame is served exactly once, by exactly one model
-    /// generation — and every shard's temporal stream caches are
-    /// invalidated once its drain completes, so the new generation
-    /// never serves cells extracted by the old one. Returns the last
-    /// shard's new generation.
+    /// Rolling blue/green swap across the shards: shard by shard, each
+    /// publishes the model rebuilt from `snapshot`, then drains the
+    /// batches in flight under older generations before the next shard
+    /// swaps, so capacity dips by at most one replica. Queued frames are
+    /// untouched throughout — every submitted frame is served exactly
+    /// once, by exactly one model generation — and every shard's temporal
+    /// stream caches are invalidated once its drain completes, so the new
+    /// generation never serves cells extracted by the old one. Returns the
+    /// last shard's new generation.
     ///
     /// # Errors
     ///
-    /// Snapshot-rebuild failures. Under [`SwapPolicy::Rolling`], shards
-    /// already swapped keep the new model (the roll stops, it does not
-    /// revert); under [`SwapPolicy::Parallel`] every detector is
-    /// rebuilt before any shard changes, so a rebuild failure leaves
-    /// the tier untouched.
+    /// Snapshot-rebuild failures. Shards already swapped keep the new
+    /// model (the roll stops, it does not revert).
     pub fn swap_model(&self, snapshot: &DetectorSnapshot) -> Result<u64> {
-        let generation = match self.config.swap {
-            SwapPolicy::Rolling => {
-                let mut generation = 0;
-                for shard in &self.shards {
-                    let detector = TrainedDetector::from_snapshot(snapshot)?;
-                    generation = shard.install(detector);
-                }
-                generation
-            }
-            SwapPolicy::Parallel => {
-                let detectors = self
-                    .shards
-                    .iter()
-                    .map(|_| TrainedDetector::from_snapshot(snapshot))
-                    .collect::<Result<Vec<_>>>()?;
-                std::thread::scope(|scope| {
-                    let installs: Vec<_> = self
-                        .shards
-                        .iter()
-                        .zip(detectors)
-                        .map(|(shard, detector)| scope.spawn(move || shard.install(detector)))
-                        .collect();
-                    installs
-                        .into_iter()
-                        .map(|h| h.join().expect("install does not panic"))
-                        .last()
-                        .expect("validated config has at least one shard")
-                })
-            }
-        };
+        let mut generation = 0;
+        for shard in &self.shards {
+            let detector = TrainedDetector::from_snapshot(snapshot)?;
+            generation = shard.install(detector);
+        }
         self.swaps.fetch_add(1, Ordering::Relaxed);
         Ok(generation)
     }

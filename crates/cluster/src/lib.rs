@@ -23,9 +23,9 @@
 //!   stalls, behind [`serve`] (batches of frames),
 //!   [`serve_streams`] (temporal video streams with per-shard cell
 //!   caches and trackers) and the SLO harnesses. The control plane's
-//!   blue/green [`swap_model`] drains each shard — rolling or all at
-//!   once per [`SwapPolicy`] — with zero dropped frames and stream
-//!   caches invalidated at install. `&Cluster` is `Copy` and `Sync`, so
+//!   rolling blue/green [`swap_model`] drains one shard at a time with
+//!   zero dropped frames and stream caches invalidated at install.
+//!   `&Cluster` is `Copy` and `Sync`, so
 //!   another thread can swap, drain or report while a serve runs;
 //! * [`chaos`] — seeded, scripted shard kills, stalls, frame failures
 //!   and checkpoint corruption for the supervised loop;
@@ -55,7 +55,6 @@
 //! [`swap_model`]: Cluster::swap_model
 //! [`serve`]: Cluster::serve
 //! [`serve_streams`]: Cluster::serve_streams
-//! [`SwapPolicy`]: cluster::SwapPolicy
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -70,7 +69,6 @@ pub mod shard;
 pub use chaos::{corrupt_newest_checkpoint, ChaosEvent, ChaosPlan};
 pub use cluster::{
     Cluster, ClusterConfig, ClusterConfigBuilder, StreamFrame, StreamOutcome, SupervisionConfig,
-    SwapPolicy,
 };
 pub use loadgen::{arrivals, run_slo, run_stream_slo, Arrival, LoadProfile, SloBudget, SloReport};
 pub use report::{ClusterReport, ShardReport, StageSummary, TraceSummary};

@@ -5,7 +5,7 @@
 //! caches so no frame is ever served from cells the old model
 //! extracted.
 
-use pcnn_cluster::{Cluster, ClusterConfig, StreamFrame, SwapPolicy};
+use pcnn_cluster::{Cluster, ClusterConfig, StreamFrame};
 use pcnn_core::pipeline::{Detector, TrainedDetector};
 use pcnn_core::{Extractor, StreamId, WindowClassifier};
 use pcnn_hog::BlockNorm;
@@ -160,27 +160,6 @@ fn model_swap_invalidates_stream_caches_on_every_shard() {
 }
 
 #[test]
-fn parallel_swap_policy_installs_every_shard() {
-    let detector = detector_with(5);
-    let snap = detector.to_snapshot();
-    let config = ClusterConfig::builder()
-        .shards(3)
-        .workers(1)
-        .swap_policy(SwapPolicy::Parallel)
-        .build()
-        .unwrap();
-    let cluster = Cluster::new(&snap, config).unwrap();
-    assert_eq!(cluster.swap_model(&snap).unwrap(), 1);
-    assert_eq!(cluster.swap_model(&snap).unwrap(), 2);
-    let report = cluster.report();
-    assert_eq!(report.swaps, 2);
-    for shard in &report.shards {
-        assert_eq!(shard.generation, 2);
-        assert_eq!(shard.swaps, 2);
-    }
-}
-
-#[test]
 fn builder_rejects_degenerate_configs() {
     assert!(ClusterConfig::builder().shards(0).build().is_err());
     assert!(ClusterConfig::builder().stream_cache_capacity(0).build().is_err());
@@ -197,7 +176,6 @@ fn builder_rejects_degenerate_configs() {
     assert_eq!(ok.shards, 2);
     assert_eq!(ok.stream_cache_capacity, 8);
     assert_eq!(ok.queue.capacity, 64);
-    assert_eq!(ok.swap, SwapPolicy::Rolling);
 }
 
 #[test]

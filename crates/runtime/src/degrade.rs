@@ -17,10 +17,10 @@ use pcnn_core::pipeline::TrainedDetector;
 use pcnn_hog::cell::PATCH_SIZE;
 use pcnn_vision::GrayImage;
 
-/// Default relative-L1 drift at which a probe declares a level
-/// unhealthy. Deterministic extractors reproduce their canaries exactly,
-/// so anything clearly nonzero means injected faults or broken hardware;
-/// 0.15 leaves headroom for benign stochastic jitter.
+/// Relative-L1 drift at which a probe declares a level unhealthy.
+/// Deterministic extractors reproduce their canaries exactly, so anything
+/// clearly nonzero means injected faults or broken hardware; 0.15 leaves
+/// headroom for benign stochastic jitter.
 pub const DEFAULT_PROBE_TOLERANCE: f32 = 0.15;
 
 /// The two canary patches: orthogonal gradients so that between them
@@ -101,26 +101,27 @@ impl<'d> ServiceLevel<'d> {
     }
 
     /// Re-runs the canary patches and compares against the healthy
-    /// references. `true` when every probe stays within `tolerance`.
-    pub fn healthy(&self, tolerance: f32) -> bool {
+    /// references. `true` when every probe stays within
+    /// [`DEFAULT_PROBE_TOLERANCE`].
+    pub fn healthy(&self) -> bool {
         canary_patches().iter().zip(&self.canaries).all(|(patch, reference)| {
-            drift(&self.detector.extractor.cell_histogram(patch), reference) <= tolerance
+            drift(&self.detector.extractor.cell_histogram(patch), reference)
+                <= DEFAULT_PROBE_TOLERANCE
         })
     }
 }
 
-/// A preference-ordered set of [`ServiceLevel`]s with a shared probe
-/// tolerance.
+/// A preference-ordered set of [`ServiceLevel`]s, each probed against
+/// [`DEFAULT_PROBE_TOLERANCE`].
 #[derive(Debug, Default)]
 pub struct FallbackChain<'d> {
     levels: Vec<ServiceLevel<'d>>,
-    tolerance: f32,
 }
 
 impl<'d> FallbackChain<'d> {
-    /// An empty chain with the default probe tolerance.
+    /// An empty chain.
     pub fn new() -> Self {
-        FallbackChain { levels: Vec::new(), tolerance: DEFAULT_PROBE_TOLERANCE }
+        Self::default()
     }
 
     /// Appends a level (lower position = higher preference), capturing
@@ -135,17 +136,6 @@ impl<'d> FallbackChain<'d> {
     pub fn push_level(mut self, level: ServiceLevel<'d>) -> Self {
         self.levels.push(level);
         self
-    }
-
-    /// Overrides the probe tolerance.
-    pub fn with_tolerance(mut self, tolerance: f32) -> Self {
-        self.tolerance = tolerance;
-        self
-    }
-
-    /// The probe tolerance in force.
-    pub fn tolerance(&self) -> f32 {
-        self.tolerance
     }
 
     /// The registered levels, most-preferred first.
@@ -174,7 +164,7 @@ impl<'d> FallbackChain<'d> {
     /// chain degrades, it never refuses service.
     pub fn select(&self) -> (usize, u64) {
         for (i, level) in self.levels.iter().enumerate() {
-            if i + 1 == self.levels.len() || level.healthy(self.tolerance) {
+            if i + 1 == self.levels.len() || level.healthy() {
                 // Every level before `i` was probed and failed.
                 return (i, i as u64);
             }

@@ -6,7 +6,7 @@
 use pcnn_core::pipeline::{Detector, TrainedDetector};
 use pcnn_core::{Extractor, WindowClassifier};
 use pcnn_hog::BlockNorm;
-use pcnn_runtime::{DetectionServer, FallbackChain, RuntimeConfig};
+use pcnn_runtime::{canary_reference, DetectionServer, FallbackChain, RuntimeConfig, ServiceLevel};
 use pcnn_svm::{train, FeatureScaler, TrainConfig};
 use pcnn_truenorth::FaultPlan;
 use pcnn_vision::{GrayImage, SynthConfig, SynthDataset};
@@ -120,4 +120,23 @@ fn empty_chain_is_rejected() {
         DetectionServer::with_chain(Detector::default(), FallbackChain::new(), Default::default())
             .unwrap_err();
     assert!(err.to_string().contains("service level"), "{err}");
+}
+
+#[test]
+fn default_and_new_chains_probe_at_the_same_tolerance() {
+    // A primary level whose healthy reference is 5% off drifts by
+    // 0.05 / 1.05 on every probe, inside the probe tolerance: it must
+    // serve, whichever constructor built the chain.
+    let ds = SynthDataset::new(SynthConfig::default());
+    let detector = train_level(Extractor::napprox_fp(BlockNorm::None), &ds);
+    let scaled: Vec<Vec<f32>> = canary_reference(&detector)
+        .into_iter()
+        .map(|h| h.into_iter().map(|v| v * 1.05).collect())
+        .collect();
+    for chain in [FallbackChain::new(), FallbackChain::default()] {
+        let chain = chain
+            .push_level(ServiceLevel::with_reference("primary", &detector, scaled.clone()))
+            .push("floor", &detector);
+        assert_eq!(chain.select(), (0, 0), "the primary level must serve");
+    }
 }

@@ -37,25 +37,6 @@ pub enum TrueNorthError {
         /// The offending delay.
         delay: u32,
     },
-    /// A corelet pin name was requested that the corelet does not expose.
-    UnknownPin {
-        /// The requested pin name.
-        name: String,
-    },
-    /// A corelet pin was indexed beyond its width.
-    PinOutOfRange {
-        /// The pin name.
-        name: String,
-        /// The requested element.
-        index: usize,
-        /// The pin's width.
-        width: usize,
-    },
-    /// A neuron that already has an output route was routed again.
-    NeuronAlreadyRouted {
-        /// The neuron index within its core.
-        neuron: usize,
-    },
     /// A network could not be mapped because a layer exceeds crossbar limits.
     CrossbarOverflow {
         /// Human-readable description of the violated limit.
@@ -101,15 +82,6 @@ impl fmt::Display for TrueNorthError {
             }
             TrueNorthError::DelayOutOfRange { delay } => {
                 write!(f, "spike delay {delay} outside supported range 1..=15 ticks")
-            }
-            TrueNorthError::UnknownPin { name } => {
-                write!(f, "corelet has no pin named `{name}`")
-            }
-            TrueNorthError::PinOutOfRange { name, index, width } => {
-                write!(f, "pin `{name}` element {index} out of range (width {width})")
-            }
-            TrueNorthError::NeuronAlreadyRouted { neuron } => {
-                write!(f, "neuron {neuron} already has an output route")
             }
             TrueNorthError::CrossbarOverflow { what, required, limit } => {
                 write!(f, "crossbar overflow: {what} requires {required}, limit is {limit}")
