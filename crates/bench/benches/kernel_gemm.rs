@@ -1,5 +1,5 @@
 //! Kernel-vs-naive timing for the `pcnn-kernels` compute path, the
-//! serving classify stage and the NApprox cell kernel.
+//! serving classify stage, the NApprox cell kernel and the pyramid.
 //!
 //! Times the blocked GEMM, the im2col+GEMM `Conv2d` forward (f32 and
 //! the multiply-free trinary inference path), the trinary
@@ -10,8 +10,10 @@
 //! Fig. 4 SVM scoring of one frame's windows from shared block rows
 //! against per-window assembly and scoring, and the NApprox cell kernel
 //! (full precision and 64-spike) over one frame's cells against the
-//! per-pixel loops of `pcnn_hog::napprox::reference`, after checking
-//! that every timed output agrees bit-for-bit with its baseline. Records
+//! per-pixel loops of `pcnn_hog::napprox::reference`, and the
+//! table-driven pyramid resize against the per-pixel loop of
+//! `pcnn_vision::pyramid::reference`, after checking that every timed
+//! output agrees bit-for-bit with its baseline. Records
 //! `results/BENCH_kernels.json` through [`pcnn_bench::harness`], each
 //! row tagged with the kernel `backend` it ran on; `--check` fails if a
 //! speedup drops below 80% of its committed value.
@@ -27,7 +29,7 @@ use pcnn_hog::{napprox, BlockNorm, NApproxHog, CELL_SIZE};
 use pcnn_kernels::{gemm, gemm_with_backend, GemmScratch, SimdBackend};
 use pcnn_runtime::RuntimeConfig;
 use pcnn_svm::{FeatureScaler, LinearSvm};
-use pcnn_vision::pyramid::scale_pyramid;
+use pcnn_vision::pyramid::{self, scale_pyramid};
 use pcnn_vision::{GrayImage, SynthConfig, SynthDataset};
 use serde::Serialize;
 use std::hint::black_box;
@@ -362,6 +364,41 @@ fn bench_cell_extraction(name: &str, model: NApproxHog, reps: usize) -> BenchRes
     row(name.to_string(), dims, format!("napprox+lanes{CELL_SIZE}"), "reference", times)
 }
 
+/// The resampled levels of one 320×240 test scene's pyramid: one
+/// `pcnn_vision::pyramid::reference::resize_bilinear` call per level,
+/// the per-pixel loop every level took before the column and row taps,
+/// against one `pyramid::resize_bilinear` call per level. The first
+/// level is the scene itself, cloned, so neither side times it.
+fn bench_pyramid(reps: usize) -> BenchResult {
+    let scene = SynthDataset::new(SynthConfig::default()).test_scene(0).image;
+    let levels = scale_pyramid(&scene, DetectorConfig::default().pyramid).levels;
+    let sizes: Vec<(usize, usize)> =
+        levels[1..].iter().map(|l| (l.image.width(), l.image.height())).collect();
+    let resize_all = |resize: fn(&GrayImage, usize, usize) -> GrayImage| -> Vec<f32> {
+        sizes.iter().flat_map(|&(w, h)| resize(&scene, w, h).pixels().to_vec()).collect()
+    };
+    let name = "fig4_pyramid";
+    let table = resize_all(pyramid::resize_bilinear);
+    assert_bits_eq(name, &table, &resize_all(pyramid::reference::resize_bilinear));
+
+    let times = time_pair(
+        reps,
+        || {
+            for &(w, h) in &sizes {
+                black_box(pyramid::reference::resize_bilinear(black_box(&scene), w, h));
+            }
+        },
+        || {
+            for &(w, h) in &sizes {
+                black_box(pyramid::resize_bilinear(black_box(&scene), w, h));
+            }
+        },
+    );
+    // width, height, levels, resampled pixels
+    let dims = vec![scene.width(), scene.height(), levels.len(), table.len()];
+    row(name.to_string(), dims, "table".to_string(), "reference", times)
+}
+
 /// The agreement gate every timed case passes: the kernel output must
 /// equal its baseline's bit for bit.
 fn assert_bits_eq(case: &str, got: &[f32], want: &[f32]) {
@@ -398,6 +435,7 @@ fn main() {
     results.push(bench_window_scoring(reps));
     results.push(bench_cell_extraction("fig4_cell_extraction", NApproxHog::full_precision(), reps));
     results.push(bench_cell_extraction("fig5_cell_extraction", NApproxHog::quantized(64), reps));
+    results.push(bench_pyramid(reps));
 
     Report::new("kernel_gemm", 1, &results).finish(
         mode,

@@ -61,13 +61,27 @@ fn fnv_words(seed: u64, words: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
+/// FNV-1a chains [`frame_hash`] runs side by side. One chain is bound by
+/// its multiply latency; independent lanes overlap their multiplies.
+const FRAME_LANES: usize = 4;
+
 /// Content hash of a whole frame (the fast path: an unchanged frame
-/// skips the pyramid entirely).
+/// skips the pyramid entirely). Pixel `i` feeds FNV-1a lane
+/// `i % FRAME_LANES`; the dimensions, the lanes in order and the last
+/// `len % FRAME_LANES` pixels are then folded with `fnv_words`.
 pub fn frame_hash(img: &GrayImage) -> u64 {
     let dims = (img.width() as u64) << 32 | img.height() as u64;
+    let pixels = img.pixels().chunks_exact(FRAME_LANES);
+    let tail = pixels.remainder();
+    let mut lanes = [FNV_OFFSET; FRAME_LANES];
+    for group in pixels {
+        for (h, p) in lanes.iter_mut().zip(group) {
+            *h = (*h ^ u64::from(p.to_bits())).wrapping_mul(FNV_PRIME);
+        }
+    }
     fnv_words(
         FNV_OFFSET,
-        std::iter::once(dims).chain(img.pixels().iter().map(|p| u64::from(p.to_bits()))),
+        std::iter::once(dims).chain(lanes).chain(tail.iter().map(|p| u64::from(p.to_bits()))),
     )
 }
 
@@ -318,6 +332,26 @@ mod tests {
         assert_eq!(frame_hash(&a), frame_hash(&b));
         b.set(7, 3, 0.123);
         assert_ne!(frame_hash(&a), frame_hash(&b));
+    }
+
+    #[test]
+    fn frame_hash_covers_every_lane_and_the_tail() {
+        // 21 pixels: five per lane plus one past the last full group.
+        let a = GrayImage::from_fn(7, 3, |x, y| (x * 3 + y) as f32 / 32.0);
+        let h = frame_hash(&a);
+        for i in 0..21 {
+            let mut b = a.clone();
+            b.set(i % 7, i / 7, 0.9);
+            assert_ne!(frame_hash(&b), h, "pixel {i}");
+        }
+        // Neighbours sit in different lanes: swapping them must show.
+        let mut swapped = a.clone();
+        swapped.set(0, 0, a.get(1, 0));
+        swapped.set(1, 0, a.get(0, 0));
+        assert_ne!(frame_hash(&swapped), h);
+        // Equal pixels in another shape hash differently.
+        let flat = GrayImage::from_vec(21, 1, a.pixels().to_vec());
+        assert_ne!(frame_hash(&flat), h);
     }
 
     #[test]

@@ -72,6 +72,30 @@ fn snapshot_survives_json_roundtrip() {
 }
 
 #[test]
+fn restore_derives_autonomous_cores_from_the_cores() {
+    use serde::{Deserialize, Serialize};
+
+    // A document may still carry per-core `auto_active` flags. Set them
+    // all to false: the restored system must still put the leak core
+    // back on its worklist after a reset, as the original does.
+    let mut original = busy_system(0x3C);
+    original.run(8);
+    let mut v = original.snapshot().to_value();
+    if let Value::Map(m) = &mut v {
+        m.retain(|(k, _)| k != "auto_active");
+        m.push(("auto_active".to_string(), vec![false; 2].to_value()));
+    }
+    let decoded = SystemSnapshot::from_value(&v).expect("stale flags still decode");
+    let mut restored = System::from_snapshot(decoded).unwrap();
+
+    original.reset_state();
+    restored.reset_state();
+    let want = run_outputs(&mut original, 60);
+    assert!(!want.is_empty(), "the leak core spikes after a reset");
+    assert_eq!(run_outputs(&mut restored, 60), want);
+}
+
+#[test]
 fn snapshot_excludes_fault_plan_and_reverts_drift() {
     use pcnn_truenorth::FaultPlan;
 

@@ -8,21 +8,67 @@
 use crate::image::GrayImage;
 use serde::{Deserialize, Serialize};
 
+pub mod reference;
+
+/// One output column's (or row's) bilinear taps: the two clamped source
+/// indices and their weights `1 − f` and `f`.
+#[derive(Debug, Clone, Copy)]
+struct Tap {
+    lo: usize,
+    hi: usize,
+    w_lo: f32,
+    w_hi: f32,
+}
+
+/// The taps of `out_len` center-aligned samples over `src_len` source
+/// pixels, each computed exactly as [`reference::resize_bilinear`] and
+/// [`GrayImage::sample_bilinear`] compute it: `src = (i + 0.5)·s − 0.5`,
+/// then `floor`, then `f = src − floor`, with border-replicated indices.
+fn taps(src_len: usize, out_len: usize) -> Vec<Tap> {
+    let s = src_len as f32 / out_len as f32;
+    let last = src_len as isize - 1;
+    (0..out_len)
+        .map(|i| {
+            let src = (i as f32 + 0.5) * s - 0.5;
+            let floor = src.floor();
+            let f = src - floor;
+            let lo = floor as isize;
+            Tap {
+                lo: lo.clamp(0, last) as usize,
+                hi: (lo + 1).clamp(0, last) as usize,
+                w_lo: 1.0 - f,
+                w_hi: f,
+            }
+        })
+        .collect()
+}
+
 /// Rescales an image to `new_w × new_h` with bilinear interpolation.
+///
+/// Builds the column and row taps once, then fills the image row by row
+/// from two source rows. Every pixel evaluates the same products and
+/// sums, in the same order, as [`GrayImage::sample_bilinear`] does, so
+/// the result equals [`reference::resize_bilinear`] bit for bit.
 ///
 /// # Panics
 ///
 /// Panics if either target dimension is zero.
 pub fn resize_bilinear(img: &GrayImage, new_w: usize, new_h: usize) -> GrayImage {
     assert!(new_w > 0 && new_h > 0, "target dimensions must be non-zero");
-    let sx = img.width() as f32 / new_w as f32;
-    let sy = img.height() as f32 / new_h as f32;
-    GrayImage::from_fn(new_w, new_h, |x, y| {
-        // Center-aligned sampling.
-        let src_x = (x as f32 + 0.5) * sx - 0.5;
-        let src_y = (y as f32 + 0.5) * sy - 0.5;
-        img.sample_bilinear(src_x, src_y)
-    })
+    let width = img.width();
+    let cols = taps(width, new_w);
+    let mut out = Vec::with_capacity(new_w * new_h);
+    for row in taps(img.height(), new_h) {
+        let top = &img.pixels()[row.lo * width..][..width];
+        let bottom = &img.pixels()[row.hi * width..][..width];
+        out.extend(cols.iter().map(|c| {
+            top[c.lo] * c.w_lo * row.w_lo
+                + top[c.hi] * c.w_hi * row.w_lo
+                + bottom[c.lo] * c.w_lo * row.w_hi
+                + bottom[c.hi] * c.w_hi * row.w_hi
+        }));
+    }
+    GrayImage::from_vec(new_w, new_h, out)
 }
 
 /// One level of a scale pyramid.
