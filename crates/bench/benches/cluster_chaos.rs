@@ -14,6 +14,7 @@ use pcnn_cluster::{
 };
 use pcnn_core::{DetectorSnapshot, StreamId};
 use pcnn_runtime::{Backpressure, RetryPolicy};
+use pcnn_trace::Counter;
 use pcnn_vision::{TemporalConfig, VideoStream};
 use serde::Serialize;
 use std::time::Duration;
@@ -125,9 +126,9 @@ fn main() {
                     _ => None,
                 },
                 slo_pass: slo.pass,
-                failovers: report.failovers,
-                respawns: report.respawns,
-                retries: report.retries,
+                failovers: report.aggregate.counters[Counter::Failovers],
+                respawns: report.aggregate.counters[Counter::Respawns],
+                retries: report.aggregate.counters[Counter::Retries],
             }
         },
     );

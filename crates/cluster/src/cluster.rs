@@ -14,11 +14,12 @@ use pcnn_runtime::{
     RuntimeConfig, Watchdog, WatchdogStatus,
 };
 use pcnn_store::CheckpointDir;
+use pcnn_trace::Counter;
 use pcnn_vision::{Detection, GrayImage};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -465,10 +466,10 @@ impl Drain for StreamFrameResult {
                             let backoff = policy.backoff_jittered(attempt, call.seed ^ i as u64);
                             if policy.deadline.is_some_and(|d| frame_start.elapsed() + backoff >= d)
                             {
-                                call.cluster.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+                                call.cluster.metrics.add(Counter::DeadlinesExceeded, 1);
                                 break StreamOutcome::DeadlineExceeded;
                             }
-                            call.cluster.retries.fetch_add(1, Ordering::Relaxed);
+                            call.cluster.metrics.add(Counter::Retries, 1);
                             let span = pcnn_trace::span(pcnn_trace::stages::CLUSTER_RETRY);
                             std::thread::sleep(backoff);
                             drop(span);
@@ -532,14 +533,9 @@ pub struct Cluster {
     /// The warm-start checkpoint directory, when the tier came from
     /// one: respawns reload the newest valid snapshot from here.
     respawn_dir: Option<PathBuf>,
-    frames_routed: AtomicU64,
-    frames_shed: AtomicU64,
-    swaps: AtomicU64,
-    failovers: AtomicU64,
-    respawns: AtomicU64,
-    retries: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    stalls: AtomicU64,
+    /// The edge's counts: frames routed and shed, swaps, failovers,
+    /// respawns, retries, deadlines exceeded and stalls.
+    metrics: Metrics,
     /// When the cluster was built, on the tracer's clock: its report
     /// profiles only the spans started since.
     trace_mark: pcnn_trace::TraceMark,
@@ -583,14 +579,7 @@ impl Cluster {
             config,
             seed_snapshot: snapshot.clone(),
             respawn_dir: None,
-            frames_routed: AtomicU64::new(0),
-            frames_shed: AtomicU64::new(0),
-            swaps: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            stalls: AtomicU64::new(0),
+            metrics: Metrics::new(),
             trace_mark,
         })
     }
@@ -692,7 +681,7 @@ impl Cluster {
             let detector = TrainedDetector::from_snapshot(snapshot)?;
             generation = shard.install(detector);
         }
-        self.swaps.fetch_add(1, Ordering::Relaxed);
+        self.metrics.add(Counter::Swaps, 1);
         Ok(generation)
     }
 
@@ -727,7 +716,7 @@ impl Cluster {
     /// frame.
     pub fn detect(&self, stream: StreamId, frame: &GrayImage) -> Result<Vec<Detection>> {
         let shard = self.route(stream);
-        self.frames_routed.fetch_add(1, Ordering::Relaxed);
+        self.metrics.add(Counter::FramesRouted, 1);
         self.shards[shard as usize].run_batch(&[frame]).pop().expect("one frame in, one result out")
     }
 
@@ -742,7 +731,7 @@ impl Cluster {
     /// cold.
     pub fn detect_stream(&self, stream: StreamId, frame: &GrayImage) -> Result<StreamFrameResult> {
         let shard = self.route(stream);
-        self.frames_routed.fetch_add(1, Ordering::Relaxed);
+        self.metrics.add(Counter::FramesRouted, 1);
         self.shards[shard as usize].run_stream_frame(stream, frame)
     }
 
@@ -845,9 +834,7 @@ impl Cluster {
         due_us: Option<&[u64]>,
     ) -> Vec<(StreamOutcome<R>, Duration)> {
         let span = pcnn_trace::span(pcnn_trace::stages::CLUSTER_SERVE);
-        if span.is_recording() {
-            span.add(pcnn_trace::Counter::Frames, frames.len() as u64);
-        }
+        self.metrics.add_traced(&span, Counter::FramesRouted, frames.len() as u64);
         if plan.is_some() {
             quiet_chaos_panics();
         }
@@ -882,7 +869,6 @@ impl Cluster {
                     run.wait_until(Duration::from_micros(due_us[i]));
                 }
                 run.flush_pending();
-                self.frames_routed.fetch_add(1, Ordering::Relaxed);
                 run.dispatch(i);
             }
             run.finish();
@@ -895,9 +881,10 @@ impl Cluster {
     }
 
     /// Snapshots the whole tier: every shard's accumulated
-    /// [`RuntimeReport`](pcnn_runtime::RuntimeReport), their merged
-    /// aggregate, routing/shedding/swap counters and the live trace
-    /// summary when a tracer is installed. The summary profiles the
+    /// [`RuntimeReport`](pcnn_runtime::RuntimeReport), their aggregate
+    /// merged onto the edge's own counters (routing, shedding, swaps,
+    /// self-healing) and the live trace summary when a tracer is
+    /// installed. The summary profiles the
     /// spans started since this cluster was built, so clusters that
     /// serve one after another in one process each report their own;
     /// clusters serving at the same time share the process-global
@@ -916,23 +903,11 @@ impl Cluster {
             })
             .collect();
         drop(router);
-        let zero = Metrics::new().report(0, None);
-        let aggregate = shards.iter().fold(zero, |acc, s| acc.merge(&s.report));
+        let edge = self.metrics.report(0);
+        let aggregate = shards.iter().fold(edge, |acc, s| acc.merge(&s.report));
         let trace = pcnn_trace::profile_since(self.trace_mark)
             .map(|profile| TraceSummary::new(profile, aggregate.kernel_backend.clone()));
-        ClusterReport {
-            shards,
-            aggregate,
-            frames_routed: self.frames_routed.load(Ordering::Relaxed),
-            frames_shed: self.frames_shed.load(Ordering::Relaxed),
-            swaps: self.swaps.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            respawns: self.respawns.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            stalls: self.stalls.load(Ordering::Relaxed),
-            trace,
-        }
+        ClusterReport { shards, aggregate, trace }
     }
 }
 
@@ -1004,7 +979,7 @@ impl<R: Drain> ServeLoop<'_, '_, R> {
             } else if !lane.condemned.load(Ordering::Acquire)
                 && matches!(self.watchdog.check(&lane.heartbeat), WatchdogStatus::Stalled { .. })
             {
-                self.call.cluster.stalls.fetch_add(1, Ordering::Relaxed);
+                self.call.cluster.metrics.add(Counter::Stalls, 1);
                 lane.condemned.store(true, Ordering::Release);
                 self.heal(k);
             }
@@ -1042,9 +1017,6 @@ impl<R: Drain> ServeLoop<'_, '_, R> {
             orphans.extend(batch);
         }
         orphans.retain(|&i| !self.call.resolved(i));
-        if span.is_recording() {
-            span.add(pcnn_trace::Counter::Frames, orphans.len() as u64);
-        }
         let shard = &cluster.shards[k];
         let drained = cluster.lock_router().drain(k as u32).is_ok();
         if drained {
@@ -1055,7 +1027,7 @@ impl<R: Drain> ServeLoop<'_, '_, R> {
                 let target = router.route(stream);
                 cluster.shards[target as usize].install_stream_snapshot(snapshot);
                 self.last_route.insert(stream, target);
-                cluster.failovers.fetch_add(1, Ordering::Relaxed);
+                cluster.metrics.add_traced(&span, Counter::Failovers, 1);
             }
         }
         let mut respawned = false;
@@ -1063,7 +1035,7 @@ impl<R: Drain> ServeLoop<'_, '_, R> {
             if let Ok(detector) = cluster.respawn_detector(self.call.chaos.as_ref()) {
                 let respawn_span = pcnn_trace::span(pcnn_trace::stages::CLUSTER_RESPAWN);
                 shard.respawn(detector);
-                cluster.respawns.fetch_add(1, Ordering::Relaxed);
+                cluster.metrics.add(Counter::Respawns, 1);
                 let fresh = Arc::new(Lane::new(cluster.config.queue));
                 self.lanes[k] = Arc::clone(&fresh);
                 self.spawn_drainer(k, fresh);
@@ -1167,12 +1139,12 @@ impl<R: Drain> ServeLoop<'_, '_, R> {
                     return;
                 }
                 PushOutcome::Shed => {
-                    cluster.frames_shed.fetch_add(1, Ordering::Relaxed);
+                    cluster.metrics.add(Counter::FramesShed, 1);
                     self.call.resolve(i, StreamOutcome::Shed);
                     return;
                 }
                 PushOutcome::Deadline => {
-                    cluster.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+                    cluster.metrics.add(Counter::DeadlinesExceeded, 1);
                     self.call.resolve(i, StreamOutcome::DeadlineExceeded);
                     return;
                 }

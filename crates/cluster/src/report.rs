@@ -2,6 +2,7 @@
 //! aggregate, serializable for dashboards and the SLO harness.
 
 use pcnn_runtime::RuntimeReport;
+use pcnn_trace::Counter;
 use serde::{Deserialize, Serialize};
 
 /// One shard's slice of a [`ClusterReport`].
@@ -24,37 +25,16 @@ pub struct ShardReport {
 pub struct ClusterReport {
     /// Per-shard reports, by shard index.
     pub shards: Vec<ShardReport>,
-    /// Every shard report merged through
-    /// [`RuntimeReport::merge`]: counters summed, latency histograms
-    /// combined bucket by bucket, `workers` totalling the threads
-    /// serving across the tier.
+    /// The cluster's own counts merged with every shard report
+    /// through [`RuntimeReport::merge`]: counters summed, latency
+    /// histograms combined bucket by bucket, `workers` totalling the
+    /// threads serving across the tier. Its counter table adds the
+    /// edge's counts to the shards': `frames_routed` (every frame a
+    /// serve call offered, shed ones included, plus every `detect` and
+    /// `detect_stream` call), `frames_shed`, cluster-wide `swaps`,
+    /// `failovers` (streams migrated off a dead shard), `respawns`,
+    /// `retries`, `deadlines_exceeded` and watchdog `stalls`.
     pub aggregate: RuntimeReport,
-    /// Frames submitted to the tier: every frame a serve call offered,
-    /// shed ones included, plus every `detect` and `detect_stream`
-    /// call.
-    pub frames_routed: u64,
-    /// Frames shed at the cluster edge by a full shard queue.
-    pub frames_shed: u64,
-    /// Completed cluster-wide blue/green swaps.
-    pub swaps: u64,
-    /// Streams migrated off a dead shard to a survivor (tracker state
-    /// carried over, cache warmth rebuilt).
-    #[serde(default)]
-    pub failovers: u64,
-    /// Dead or stalled shards respawned warm from the latest
-    /// checkpoint (or the seed snapshot).
-    #[serde(default)]
-    pub respawns: u64,
-    /// Failed frame attempts retried at the serving edge.
-    #[serde(default)]
-    pub retries: u64,
-    /// Frames whose deadline expired before any attempt could succeed.
-    #[serde(default)]
-    pub deadline_exceeded: u64,
-    /// Shard serve loops condemned by the watchdog for heartbeat
-    /// silence with work in flight.
-    #[serde(default)]
-    pub stalls: u64,
     /// Live per-stage tracing statistics, when a `pcnn_trace` tracer is
     /// installed: the spans started since the cluster was built, from
     /// every shard (they land in the same process-global tracer, so this
@@ -128,42 +108,9 @@ impl TraceSummary {
     }
 }
 
-impl ClusterReport {
-    /// Frames served across every shard.
-    pub fn frames_served(&self) -> u64 {
-        self.aggregate.frames_served
-    }
-
-    /// Batches served below their shard's primary level (the live model
-    /// failed its canary probe and the fallback floor served).
-    pub fn degraded_batches(&self) -> u64 {
-        self.aggregate.degraded_batches
-    }
-
-    /// Stream-cache cells reused across every shard (video serving).
-    pub fn cells_reused(&self) -> u64 {
-        self.aggregate.cells_reused
-    }
-
-    /// Stream-cache cells recomputed across every shard (video serving).
-    pub fn cells_recomputed(&self) -> u64 {
-        self.aggregate.cells_recomputed
-    }
-}
-
 impl std::fmt::Display for ClusterReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "cluster report ({} shards, {} workers total)",
-            self.shards.len(),
-            self.aggregate.workers
-        )?;
-        writeln!(
-            f,
-            "  frames routed {:>8}   shed {:>6}   served {:>8}   swaps {:>3}",
-            self.frames_routed, self.frames_shed, self.aggregate.frames_served, self.swaps
-        )?;
+        writeln!(f, "cluster report ({} shards)", self.shards.len())?;
         for shard in &self.shards {
             writeln!(
                 f,
@@ -171,47 +118,12 @@ impl std::fmt::Display for ClusterReport {
                 shard.shard,
                 shard.generation,
                 shard.swaps,
-                shard.report.frames_served,
-                shard.report.batches,
+                shard.report.counters[Counter::Frames],
+                shard.report.counters[Counter::Batches],
                 if shard.drained { "  [drained]" } else { "" }
             )?;
         }
-        let latency = &self.aggregate.batch_latency;
-        if let (Some(p50), Some(p99)) = (latency.p50(), latency.p99()) {
-            writeln!(
-                f,
-                "  batch latency: p50 {:.2}ms  p99 {:.2}ms",
-                p50 as f64 / 1e3,
-                p99 as f64 / 1e3
-            )?;
-        }
-        if self.aggregate.cells_reused + self.aggregate.cells_recomputed > 0 {
-            let total = self.aggregate.cells_reused + self.aggregate.cells_recomputed;
-            writeln!(
-                f,
-                "  stream cache: {} cells reused, {} recomputed ({:.1}% hit)",
-                self.aggregate.cells_reused,
-                self.aggregate.cells_recomputed,
-                100.0 * self.aggregate.cells_reused as f64 / total as f64
-            )?;
-        }
-        if self.failovers + self.respawns + self.retries + self.stalls > 0 {
-            writeln!(
-                f,
-                "  self-healing: {} failovers  {} respawns  {} retries  {} stalls",
-                self.failovers, self.respawns, self.retries, self.stalls
-            )?;
-        }
-        if self.deadline_exceeded > 0 {
-            writeln!(f, "  deadlines: {} exceeded", self.deadline_exceeded)?;
-        }
-        if self.aggregate.degraded_batches > 0 {
-            writeln!(
-                f,
-                "  degradation: {} batches / {} frames on the fallback floor",
-                self.aggregate.degraded_batches, self.aggregate.degraded_frames
-            )?;
-        }
+        writeln!(f, "{}", self.aggregate)?;
         if let Some(trace) = &self.trace {
             writeln!(f, "  trace: {} stages", trace.stages.len())?;
             for stage in &trace.stages {
@@ -227,5 +139,58 @@ impl std::fmt::Display for ClusterReport {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pcnn_runtime::Metrics;
+
+    /// A one-shard report whose aggregate adds two failovers at the edge.
+    fn sample() -> (ClusterReport, String) {
+        let served = Metrics::new();
+        served.add(Counter::Frames, 3);
+        let edge = Metrics::new();
+        edge.add(Counter::Failovers, 2);
+        let report = served.report(1);
+        let aggregate = edge.report(0).merge(&report);
+        let shards =
+            vec![ShardReport { shard: 0, generation: 0, swaps: 0, drained: false, report }];
+        let report = ClusterReport { shards, aggregate, trace: None };
+        let json = serde_json::to_string(&report).unwrap();
+        (report, json)
+    }
+
+    #[test]
+    fn cluster_reports_with_counters_as_fields_are_refused() {
+        let (report, json) = sample();
+        let back: ClusterReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, report);
+        assert_eq!(back.aggregate.counters[Counter::Failovers], 2);
+        // The shape written before the counter table: counters as fields
+        // of the cluster report and of every runtime report.
+        let aggregate = "\"counters\":[[\"frames\",3],[\"failovers\",2]]";
+        let shard = "\"counters\":[[\"frames\",3]]";
+        assert!(json.contains(aggregate) && json.contains(shard), "{json}");
+        let old = json
+            .replacen(aggregate, "\"frames_served\":3,\"system\":null", 1)
+            .replacen(shard, "\"frames_served\":3,\"system\":null", 1)
+            .replacen('{', "{\"frames_routed\":3,\"failovers\":2,", 1);
+        assert!(!old.contains("counters"), "{old}");
+        let err = serde_json::from_str::<ClusterReport>(&old).unwrap_err().to_string();
+        assert!(err.contains("`counters`"), "{err}");
+    }
+
+    #[test]
+    fn cluster_reports_refuse_unknown_and_repeated_counter_names() {
+        let (_, json) = sample();
+        let failovers = "[\"failovers\",2]";
+        let unknown = json.replacen(failovers, "[\"failover\",2]", 1);
+        let err = serde_json::from_str::<ClusterReport>(&unknown).unwrap_err().to_string();
+        assert!(err.contains("unknown counter `failover`"), "{err}");
+        let repeated = json.replacen(failovers, "[\"failovers\",2],[\"failovers\",1]", 1);
+        let err = serde_json::from_str::<ClusterReport>(&repeated).unwrap_err().to_string();
+        assert!(err.contains("counter `failovers` repeated"), "{err}");
     }
 }

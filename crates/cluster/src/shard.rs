@@ -27,6 +27,7 @@ use pcnn_runtime::{
     canary_reference, DetectionServer, FallbackChain, Metrics, RuntimeConfig, RuntimeReport,
     ServiceLevel, StreamFrameResult, StreamSnapshot, StreamState,
 };
+use pcnn_trace::Counter;
 use pcnn_vision::{Detection, GrayImage};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -185,7 +186,7 @@ impl Shard {
             fallback: None,
             config,
             engine,
-            report: Mutex::new(Metrics::new().report(config.workers, None)),
+            report: Mutex::new(Metrics::new().report(config.workers)),
             swaps: AtomicU64::new(0),
             streams: Mutex::new(StreamStore::new(stream_cache_capacity.max(1))),
         }
@@ -236,9 +237,11 @@ impl Shard {
         self.swaps.load(Ordering::Relaxed)
     }
 
-    /// A snapshot of the shard's accumulated serving report.
+    /// A snapshot of the shard's accumulated serving report, labelled
+    /// with the kernel path the process serves on now: merged into a
+    /// fresh report, which reads the label.
     pub fn report(&self) -> RuntimeReport {
-        self.lock_report().clone()
+        Metrics::new().report(0).merge(&self.lock_report())
     }
 
     /// Streams with temporal state currently cached on this shard.
@@ -327,10 +330,9 @@ impl Shard {
             return Vec::new();
         }
         let span = pcnn_trace::span(pcnn_trace::stages::CLUSTER_SHARD_BATCH);
-        if span.is_recording() {
-            span.add(pcnn_trace::Counter::Frames, frames.len() as u64);
-        }
-        self.serve_current(|server| server.detect_batch(frames))
+        let results = self.serve_current(|server| server.detect_batch(frames));
+        span.add(Counter::Frames, results.iter().filter(|r| r.is_ok()).count() as u64);
+        results
     }
 
     /// Serves one frame of a video stream with the currently installed
@@ -348,17 +350,16 @@ impl Shard {
         frame: &GrayImage,
     ) -> Result<StreamFrameResult, Error> {
         let span = pcnn_trace::span(pcnn_trace::stages::CLUSTER_SHARD_BATCH);
-        if span.is_recording() {
-            span.add(pcnn_trace::Counter::Frames, 1);
-        }
-        self.serve_current(|server| {
+        let result = self.serve_current(|server| {
             // The stream's state leaves the store while its frame runs,
             // so a long frame never blocks other streams on the lock.
             let mut state = self.lock_streams().take(stream);
             let result = server.detect_stream_state(&mut state, frame);
             self.lock_streams().put(stream, state);
             result
-        })
+        });
+        span.add(Counter::Frames, u64::from(result.is_ok()));
+        result
     }
 
     /// Runs `serve` on a transient [`DetectionServer`] over the
@@ -375,7 +376,7 @@ impl Shard {
         let server = DetectionServer::with_chain(Detector::new(self.engine), chain, self.config)
             .expect("shard config validated at cluster build");
         let out = serve(&server);
-        let call_report = server.report(None);
+        let call_report = server.report();
         let mut report = self.lock_report();
         // merge() sums `workers` (an aggregate over shards reports total
         // threads); within one shard the pool size is constant.
@@ -511,6 +512,6 @@ mod tests {
         assert!(results[0].is_ok(), "{results:?}");
         assert!(shard.lock_state().in_flight.is_empty(), "nothing left registered");
         assert_eq!(shard.install(small_detector()), 2, "install does not wait on the old call");
-        assert_eq!(shard.report().frames_served, 1, "the call's report still merged");
+        assert_eq!(shard.report().counters[Counter::Frames], 1, "the call's report still merged");
     }
 }

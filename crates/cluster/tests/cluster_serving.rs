@@ -11,6 +11,7 @@ use pcnn_hog::BlockNorm;
 use pcnn_runtime::Backpressure;
 use pcnn_store::CheckpointDir;
 use pcnn_svm::{train, FeatureScaler, TrainConfig};
+use pcnn_trace::Counter;
 use pcnn_vision::{SynthConfig, SynthDataset};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -148,9 +149,13 @@ fn reject_backpressure_sheds_at_the_cluster_edge_with_honest_accounting() {
     }
 
     let report = cluster.report();
-    assert_eq!(report.frames_routed, frames.len() as u64);
-    assert_eq!(report.frames_shed, shed, "report.frames_shed disagrees with the None slots");
-    assert_eq!(report.aggregate.frames_served, served);
+    assert_eq!(report.aggregate.counters[Counter::FramesRouted], frames.len() as u64);
+    assert_eq!(
+        report.aggregate.counters[Counter::FramesShed],
+        shed,
+        "frames_shed disagrees with the None slots"
+    );
+    assert_eq!(report.aggregate.counters[Counter::Frames], served);
 }
 
 #[test]
@@ -171,19 +176,19 @@ fn report_aggregates_every_shard() {
 
     let report = cluster.report();
     assert_eq!(report.shards.len(), 3);
-    let per_shard: u64 = report.shards.iter().map(|s| s.report.frames_served).sum();
+    let per_shard: u64 = report.shards.iter().map(|s| s.report.counters[Counter::Frames]).sum();
     assert_eq!(per_shard, frames.len() as u64, "shard reports must cover every frame once");
-    assert_eq!(report.aggregate.frames_served, per_shard, "aggregate != sum of shards");
-    assert_eq!(report.frames_routed, frames.len() as u64);
-    assert_eq!(report.frames_shed, 0);
+    assert_eq!(report.aggregate.counters[Counter::Frames], per_shard, "aggregate != sum of shards");
+    assert_eq!(report.aggregate.counters[Counter::FramesRouted], frames.len() as u64);
+    assert_eq!(report.aggregate.counters[Counter::FramesShed], 0);
     // Streams spread: with 5 streams over 3 shards at this seed, more
     // than one shard did work.
-    let busy = report.shards.iter().filter(|s| s.report.frames_served > 0).count();
+    let busy = report.shards.iter().filter(|s| s.report.counters[Counter::Frames] > 0).count();
     assert!(busy > 1, "expected multiple shards to serve, got {busy}");
     // The merged batch-latency histogram carries one sample per batch.
     assert_eq!(
         report.aggregate.batch_latency.total(),
-        report.aggregate.batches,
+        report.aggregate.counters[Counter::Batches],
         "merged latency histogram lost samples"
     );
 }

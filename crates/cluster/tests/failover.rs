@@ -13,6 +13,7 @@ use pcnn_hog::BlockNorm;
 use pcnn_runtime::{Backpressure, RetryPolicy, StreamFrameResult};
 use pcnn_store::CheckpointDir;
 use pcnn_svm::{train, FeatureScaler, TrainConfig};
+use pcnn_trace::Counter;
 use pcnn_vision::{SynthConfig, SynthDataset, TemporalConfig, VideoStream};
 use std::time::Duration;
 
@@ -143,11 +144,31 @@ fn killed_shard_fails_over_and_respawns_bit_identically() {
             assert!(redispatched_any, "seed {seed}: the kill must orphan at least one frame");
 
             let report = cluster.report();
-            assert_eq!(report.respawns, 1, "seed {seed}: one kill, one respawn");
-            assert!(report.failovers >= 1, "seed {seed}: victim held at least one stream");
-            assert_eq!(report.retries, expected_retries, "seed {seed}: injected-failure retries");
-            assert_eq!(report.frames_shed, 0, "Block backpressure never sheds");
-            counter_runs.push((report.failovers, report.respawns, report.retries, report.stalls));
+            assert_eq!(
+                report.aggregate.counters[Counter::Respawns],
+                1,
+                "seed {seed}: one kill, one respawn"
+            );
+            assert!(
+                report.aggregate.counters[Counter::Failovers] >= 1,
+                "seed {seed}: victim held at least one stream"
+            );
+            assert_eq!(
+                report.aggregate.counters[Counter::Retries],
+                expected_retries,
+                "seed {seed}: injected-failure retries"
+            );
+            assert_eq!(
+                report.aggregate.counters[Counter::FramesShed],
+                0,
+                "Block backpressure never sheds"
+            );
+            counter_runs.push((
+                report.aggregate.counters[Counter::Failovers],
+                report.aggregate.counters[Counter::Respawns],
+                report.aggregate.counters[Counter::Retries],
+                report.aggregate.counters[Counter::Stalls],
+            ));
         }
         assert!(
             counter_runs.windows(2).all(|w| w[0] == w[1]),
@@ -184,9 +205,15 @@ fn stalled_shard_is_condemned_and_its_frames_rerouted() {
     // A slow-but-healthy serve can also trip the watchdog (that heal is
     // harmless, the output above is still bit-identical), so the
     // counters are lower-bounded rather than exact here.
-    assert!(report.stalls >= 1, "the watchdog must condemn the stalled lane");
-    assert!(report.respawns >= 1, "a condemned shard respawns like a dead one");
-    assert!(report.failovers >= 1);
+    assert!(
+        report.aggregate.counters[Counter::Stalls] >= 1,
+        "the watchdog must condemn the stalled lane"
+    );
+    assert!(
+        report.aggregate.counters[Counter::Respawns] >= 1,
+        "a condemned shard respawns like a dead one"
+    );
+    assert!(report.aggregate.counters[Counter::Failovers] >= 1);
 }
 
 /// With respawn disabled the victim stays drained: the survivors absorb
@@ -209,8 +236,8 @@ fn without_respawn_the_survivors_carry_the_dead_shards_streams() {
         assert_eq!(result.tracks, reference[i].tracks, "frame {i}");
     }
     let report = cluster.report();
-    assert_eq!(report.respawns, 0, "respawn is disabled");
-    assert!(report.failovers >= 1);
+    assert_eq!(report.aggregate.counters[Counter::Respawns], 0, "respawn is disabled");
+    assert!(report.aggregate.counters[Counter::Failovers] >= 1);
     assert!(
         report.shards[victim as usize].drained,
         "the dead shard must still be out of rotation at the end of the run"
@@ -244,7 +271,7 @@ fn respawn_survives_a_corrupted_newest_checkpoint() {
         assert_eq!(result.tracks, reference[i].tracks, "frame {i}");
     }
     let report = cluster.report();
-    assert_eq!(report.respawns, 1);
+    assert_eq!(report.aggregate.counters[Counter::Respawns], 1);
     // The respawn really did hit the corrupted epoch 2 and fall back:
     // the newest *valid* snapshot in the directory is now epoch 1.
     let (epoch, _) = dir.load_latest::<DetectorSnapshot>().unwrap().expect("epoch 1 survives");
@@ -267,8 +294,14 @@ fn supervision_fields_default_through_serde() {
     let report = cluster.report();
     let json = serde_json::to_string(&report).unwrap();
     let back: pcnn_cluster::ClusterReport = serde_json::from_str(&json).unwrap();
-    assert_eq!(back.respawns, report.respawns);
-    assert_eq!(back.failovers, report.failovers);
+    assert_eq!(
+        back.aggregate.counters[Counter::Respawns],
+        report.aggregate.counters[Counter::Respawns]
+    );
+    assert_eq!(
+        back.aggregate.counters[Counter::Failovers],
+        report.aggregate.counters[Counter::Failovers]
+    );
 }
 
 /// A config serialized while the queue lived in `runtime` has no

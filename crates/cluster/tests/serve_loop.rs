@@ -13,6 +13,7 @@ use pcnn_core::{Error, Extractor, StreamId, WindowClassifier};
 use pcnn_hog::BlockNorm;
 use pcnn_runtime::{Backpressure, RetryPolicy};
 use pcnn_svm::{train, FeatureScaler, TrainConfig};
+use pcnn_trace::Counter;
 use pcnn_vision::{SynthConfig, SynthDataset, TemporalConfig, VideoStream};
 use std::panic::AssertUnwindSafe;
 use std::time::Duration;
@@ -156,8 +157,12 @@ fn exhausted_attempts_fail_every_frame_with_its_last_error() {
         );
     }
     let report = cluster.report();
-    assert_eq!(report.retries, frames.len() as u64, "one retry between two attempts per frame");
-    assert_eq!(report.deadline_exceeded, 0);
+    assert_eq!(
+        report.aggregate.counters[Counter::Retries],
+        frames.len() as u64,
+        "one retry between two attempts per frame"
+    );
+    assert_eq!(report.aggregate.counters[Counter::DeadlinesExceeded], 0);
 }
 
 #[test]
@@ -177,8 +182,12 @@ fn a_backoff_past_the_deadline_resolves_the_frame_without_retrying() {
         assert!(matches!(outcome, StreamOutcome::DeadlineExceeded), "frame {i}: {outcome:?}");
     }
     let report = cluster.report();
-    assert_eq!(report.deadline_exceeded, frames.len() as u64);
-    assert_eq!(report.retries, 0, "no attempt is retried past the deadline");
+    assert_eq!(report.aggregate.counters[Counter::DeadlinesExceeded], frames.len() as u64);
+    assert_eq!(
+        report.aggregate.counters[Counter::Retries],
+        0,
+        "no attempt is retried past the deadline"
+    );
 }
 
 #[test]
@@ -198,7 +207,11 @@ fn stream_slo_latency_is_measured() {
     assert_eq!(slo.latency.total(), slo.served, "one sample per served frame");
     // The stalled frame completes at least 800 ms after the start.
     assert!(slo.p99_us.is_some_and(|p99| p99 >= 800_000), "{slo}");
-    assert_eq!(cluster.report().stalls, 0, "the stall is under the watchdog threshold");
+    assert_eq!(
+        cluster.report().aggregate.counters[Counter::Stalls],
+        0,
+        "the stall is under the watchdog threshold"
+    );
 }
 
 #[test]
@@ -212,9 +225,13 @@ fn run_slo_paces_and_records_one_sample_per_frame() {
     assert_eq!(slo.served, slo.offered, "Block serves every frame");
     assert_eq!(slo.latency.total(), slo.served, "one sample per served frame");
     let report = cluster.report();
-    assert_eq!(report.frames_served(), slo.served);
+    assert_eq!(report.aggregate.counters[Counter::Frames], slo.served);
     assert_eq!(
-        (report.stalls, report.respawns, report.failovers),
+        (
+            report.aggregate.counters[Counter::Stalls],
+            report.aggregate.counters[Counter::Respawns],
+            report.aggregate.counters[Counter::Failovers]
+        ),
         (0, 0, 0),
         "a healthy batch serve trips no supervision"
     );

@@ -11,6 +11,7 @@ use pcnn_core::{Extractor, StreamId, WindowClassifier};
 use pcnn_hog::BlockNorm;
 use pcnn_runtime::{Backpressure, DetectionServer, RuntimeConfig};
 use pcnn_svm::{train, FeatureScaler, TrainConfig};
+use pcnn_trace::Counter;
 use pcnn_vision::{GrayImage, SynthConfig, SynthDataset, TemporalConfig, VideoStream};
 
 fn detector_with(seed: u64) -> TrainedDetector {
@@ -99,8 +100,8 @@ fn sharded_streaming_matches_a_single_server_per_stream() {
     let report = cluster.report();
     let reused: u64 = reference.iter().map(|(_, r)| r.cells_reused).sum();
     let recomputed: u64 = reference.iter().map(|(_, r)| r.cells_recomputed).sum();
-    assert_eq!(report.cells_reused(), reused);
-    assert_eq!(report.cells_recomputed(), recomputed);
+    assert_eq!(report.aggregate.counters[Counter::CellsReused], reused);
+    assert_eq!(report.aggregate.counters[Counter::CellsRecomputed], recomputed);
     assert!(reused > 0, "a 4-frame sparse stream must reuse cells");
 }
 

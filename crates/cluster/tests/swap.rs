@@ -10,6 +10,7 @@ use pcnn_core::{Extractor, StreamId, WindowClassifier};
 use pcnn_hog::BlockNorm;
 use pcnn_runtime::Backpressure;
 use pcnn_svm::{train, FeatureScaler, TrainConfig};
+use pcnn_trace::Counter;
 use pcnn_vision::{SynthConfig, SynthDataset};
 use std::time::Duration;
 
@@ -91,13 +92,17 @@ fn mid_stream_swap_serves_every_frame_exactly_once() {
 
     // Every shard finished the roll; the swap is visible in the report.
     let report = cluster.report();
-    assert_eq!(report.swaps, 1);
+    assert_eq!(report.aggregate.counters[Counter::Swaps], 1);
     for shard in &report.shards {
         assert_eq!(shard.generation, 1, "shard {} never installed generation 1", shard.shard);
         assert_eq!(shard.swaps, 1);
     }
-    assert_eq!(report.frames_shed, 0, "Block backpressure sheds nothing");
-    assert_eq!(report.aggregate.frames_served, frames.len() as u64);
+    assert_eq!(
+        report.aggregate.counters[Counter::FramesShed],
+        0,
+        "Block backpressure sheds nothing"
+    );
+    assert_eq!(report.aggregate.counters[Counter::Frames], frames.len() as u64);
 
     // After the roll, the tier serves pure green.
     for (i, frame) in frames.iter().take(4).enumerate() {
@@ -117,7 +122,7 @@ fn repeated_swaps_advance_the_generation_monotonically() {
     assert_eq!(cluster.swap_model(&snap).unwrap(), 1);
     assert_eq!(cluster.swap_model(&snap).unwrap(), 2);
     let report = cluster.report();
-    assert_eq!(report.swaps, 2);
+    assert_eq!(report.aggregate.counters[Counter::Swaps], 2);
     for shard in &report.shards {
         assert_eq!(shard.generation, 2);
         assert_eq!(shard.swaps, 2);

@@ -11,7 +11,7 @@ use pcnn_core::{Extractor, StreamId, WindowClassifier};
 use pcnn_hog::BlockNorm;
 use pcnn_runtime::Backpressure;
 use pcnn_svm::{train, FeatureScaler, TrainConfig};
-use pcnn_trace::stages;
+use pcnn_trace::{stages, Counter};
 use pcnn_vision::{SynthConfig, SynthDataset};
 
 fn detector() -> TrainedDetector {
@@ -54,7 +54,11 @@ fn the_env_tracer_records_the_first_serve() {
     let trace = report.trace.as_ref().expect("PCNN_TRACE=1 installs a tracer");
     let count = |name: &str| trace.stages.iter().find(|s| s.name == name).map_or(0, |s| s.count);
     assert_eq!(count(stages::CLUSTER_SERVE), 1, "the one serve is traced: {report}");
-    assert_eq!(count(stages::RUNTIME_BATCH), report.aggregate.batches, "{report}");
+    assert_eq!(
+        count(stages::RUNTIME_BATCH),
+        report.aggregate.counters[Counter::Batches],
+        "{report}"
+    );
     assert_eq!(
         count(stages::CLUSTER_SHARD_BATCH),
         count(stages::RUNTIME_BATCH),

@@ -14,7 +14,7 @@ use pcnn_core::{Extractor, StreamId, WindowClassifier};
 use pcnn_hog::BlockNorm;
 use pcnn_runtime::Backpressure;
 use pcnn_svm::{train, FeatureScaler, TrainConfig};
-use pcnn_trace::{stages, Clock, Tracer};
+use pcnn_trace::{stages, Clock, Counter, Tracer};
 use pcnn_vision::{SynthConfig, SynthDataset};
 use std::sync::Mutex;
 
@@ -71,14 +71,18 @@ fn the_cluster_trace_summary_counts_every_served_batch() {
         let results = cluster.serve(&frames);
         assert!(results.iter().all(Option::is_some), "round {round}: every frame is served");
         let report = cluster.report();
-        assert_eq!(report.aggregate.frames_served, 4 * round);
+        assert_eq!(report.aggregate.counters[Counter::Frames], 4 * round);
         let trace = report.trace.as_ref().expect("a tracer is installed");
         let batch = trace
             .stages
             .iter()
             .find(|s| s.name == stages::RUNTIME_BATCH)
             .expect("batches were traced");
-        assert_eq!(batch.count, report.aggregate.batches, "round {round}: {report}");
+        assert_eq!(
+            batch.count,
+            report.aggregate.counters[Counter::Batches],
+            "round {round}: {report}"
+        );
         let text = report.to_string();
         assert!(text.contains(stages::RUNTIME_BATCH), "round {round}: {text}");
     }
@@ -96,8 +100,12 @@ fn clusters_serving_in_turn_each_count_their_own_batches() {
         let results = cluster.serve(&frames);
         assert!(results.iter().all(Option::is_some), "cluster {turn}: every frame is served");
         let report = cluster.report();
-        assert!(report.aggregate.batches > 0);
-        assert_eq!(batch_spans(&report), report.aggregate.batches, "cluster {turn}: {report}");
+        assert!(report.aggregate.counters[Counter::Batches] > 0);
+        assert_eq!(
+            batch_spans(&report),
+            report.aggregate.counters[Counter::Batches],
+            "cluster {turn}: {report}"
+        );
     }
     Tracer::uninstall();
 }

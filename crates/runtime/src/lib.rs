@@ -7,13 +7,14 @@
 //!   items executed on a fixed pool of scoped threads, with results
 //!   merged in scan order so parallel output is **bit-identical** to
 //!   the serial path at any worker count;
-//! * [`metrics`] — serving counters (frames served, windows scored,
-//!   caught panics) and the batch-latency [`Histogram`], the log-linear
-//!   histogram every serving latency uses (at most 1/64 wide per bucket,
-//!   merging bucket by bucket), snapshotted into a serializable
-//!   [`RuntimeReport`] with the neurosynaptic simulator's
-//!   [`SystemStats`](pcnn_truenorth::SystemStats) threaded through.
-//!   Per-stage wall time lives only in the `runtime.*` trace spans;
+//! * [`metrics`] — serving counters, one per
+//!   [`pcnn_trace::Counter`] (`frames`, `windows`, `panics_caught`, …)
+//!   under the names the trace spans use, and the batch-latency
+//!   [`Histogram`], the log-linear histogram every serving latency uses
+//!   (at most 1/64 wide per bucket, merging bucket by bucket),
+//!   snapshotted into a serializable [`RuntimeReport`] whose
+//!   [`Counters`] table merges in one loop. Per-stage wall time lives
+//!   only in the `runtime.*` trace spans;
 //! * [`server`] — [`DetectionServer`], the staged pipeline plus the
 //!   counters it feeds: one pipeline over (frame, [`CellCache`]) pairs —
 //!   cache probe, pyramid, cells, classify, NMS — that a batch runs
@@ -88,8 +89,8 @@
 //! let server = DetectionServer::new(Detector::default(), &detector, config).unwrap();
 //! let frame = GrayImage::new(96, 160);
 //! let detections = server.detect_frame(&frame);
-//! let report = server.report(None);
-//! assert_eq!(report.frames_served, 1);
+//! let report = server.report();
+//! assert_eq!(report.counters[pcnn_trace::Counter::Frames], 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -108,7 +109,7 @@ pub mod supervise;
 pub use cache::{CacheStats, CellCache, LevelCache};
 pub use chaos::PanicInjector;
 pub use degrade::{canary_reference, FallbackChain, ServiceLevel, DEFAULT_PROBE_TOLERANCE};
-pub use metrics::{Histogram, LevelReport, Metrics, RuntimeReport};
+pub use metrics::{Counters, Histogram, LevelReport, Metrics, RuntimeReport};
 pub use queue::{Backpressure, PushError, QueueConfig, RequestQueue};
 pub use scheduler::{parallel_map, plan_chunks, try_parallel_map, Chunk, WorkerPanic};
 pub use server::{DetectionServer, RuntimeConfig, RuntimeConfigBuilder};

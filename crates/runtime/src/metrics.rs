@@ -1,11 +1,14 @@
-//! Serving metrics: atomic counters and one mergeable latency
-//! [`Histogram`], snapshotted into a serializable [`RuntimeReport`].
+//! Serving metrics: one atomic per [`Counter`] and one mergeable
+//! latency [`Histogram`], snapshotted into a serializable
+//! [`RuntimeReport`] whose [`Counters`] table sums in one loop.
 //!
-//! Stage wall time is not counted here: the `runtime.*` trace spans
-//! (`pcnn_trace::stages`) are its only record.
+//! Counts carry the trace's counter names, so a report's `frames` is
+//! what its `runtime.batch` spans count. Stage wall time is not counted
+//! here: the `runtime.*` trace spans (`pcnn_trace::stages`) are its only
+//! record.
 
-use pcnn_truenorth::SystemStats;
-use serde::{Deserialize, Serialize};
+use pcnn_trace::{Counter, SpanGuard};
+use serde::{Deserialize, Serialize, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
@@ -97,23 +100,15 @@ fn bucket_max(bucket: u32) -> u64 {
     ((bucket - (shift << SUB_BITS)) << shift) + ((1 << shift) - 1)
 }
 
-/// Live counters for one serving runtime, fed through a shared
-/// `&Metrics` from every worker thread: counters are atomics, and the
-/// latency histogram sits behind a mutex taken once per batch.
+/// Live counters for one serving runtime or one cluster edge, fed
+/// through a shared `&Metrics` from every worker thread: one atomic per
+/// [`Counter`], one per fallback-chain level, and the latency histogram
+/// behind a mutex taken once per batch.
 #[derive(Debug)]
 pub struct Metrics {
-    frames_served: AtomicU64,
-    windows_scored: AtomicU64,
-    batches: AtomicU64,
-    batch_latency_us: Mutex<Histogram>,
-    degraded_batches: AtomicU64,
-    degraded_frames: AtomicU64,
-    health_failures: AtomicU64,
+    counters: [AtomicU64; Counter::ALL.len()],
     level_batches: Vec<AtomicU64>,
-    panics_caught: AtomicU64,
-    cells_reused: AtomicU64,
-    cells_recomputed: AtomicU64,
-    tracks_active: AtomicU64,
+    batch_latency_us: Mutex<Histogram>,
 }
 
 impl Default for Metrics {
@@ -131,34 +126,27 @@ impl Metrics {
     /// Fresh metrics tracking `levels` fallback-chain service levels.
     pub fn with_levels(levels: usize) -> Self {
         Metrics {
-            frames_served: AtomicU64::new(0),
-            windows_scored: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batch_latency_us: Mutex::default(),
-            degraded_batches: AtomicU64::new(0),
-            degraded_frames: AtomicU64::new(0),
-            health_failures: AtomicU64::new(0),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
             level_batches: (0..levels).map(|_| AtomicU64::new(0)).collect(),
-            panics_caught: AtomicU64::new(0),
-            cells_reused: AtomicU64::new(0),
-            cells_recomputed: AtomicU64::new(0),
-            tracks_active: AtomicU64::new(0),
+            batch_latency_us: Mutex::default(),
         }
     }
 
-    /// Counts `n` frames served.
-    pub fn add_frames(&self, n: u64) {
-        self.frames_served.fetch_add(n, Ordering::Relaxed);
+    /// Counts `n` more of `counter`.
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Counts `n` windows scored.
-    pub fn add_windows(&self, n: u64) {
-        self.windows_scored.fetch_add(n, Ordering::Relaxed);
+    /// Counts `n` more of `counter` here and on `span`: the one call for
+    /// a stage whose count is both traced and reported.
+    pub fn add_traced(&self, span: &SpanGuard, counter: Counter, n: u64) {
+        span.add(counter, n);
+        self.add(counter, n);
     }
 
     /// Counts one completed batch and its wall time.
     pub fn add_batch(&self, latency: Duration) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::Batches, 1);
         self.latency().record(latency.as_micros() as u64);
     }
 
@@ -166,18 +154,6 @@ impl Metrics {
     /// updated, so a poisoned lock is recovered.
     fn latency(&self) -> std::sync::MutexGuard<'_, Histogram> {
         self.batch_latency_us.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Counts one batch served below the primary service level, covering
-    /// `frames` frames.
-    pub fn add_degraded_batch(&self, frames: u64) {
-        self.degraded_batches.fetch_add(1, Ordering::Relaxed);
-        self.degraded_frames.fetch_add(frames, Ordering::Relaxed);
-    }
-
-    /// Counts `n` failed health probes.
-    pub fn add_health_failures(&self, n: u64) {
-        self.health_failures.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Counts one batch served at fallback-chain level `index`. Ignored
@@ -193,49 +169,64 @@ impl Metrics {
         self.level_batches.iter().map(|c| c.load(Ordering::Relaxed)).collect()
     }
 
-    /// Counts `n` worker panics caught and isolated.
-    pub fn add_panics(&self, n: u64) {
-        self.panics_caught.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts `n` pyramid cells served from a stream's temporal cache.
-    pub fn add_cells_reused(&self, n: u64) {
-        self.cells_reused.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts `n` pyramid cells recomputed because their pixels changed.
-    pub fn add_cells_recomputed(&self, n: u64) {
-        self.cells_recomputed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts `n` live tracks observed after one tracker update (one
-    /// observation per tracked frame, so totals are conserved across
-    /// worker counts and shard layouts).
-    pub fn add_tracks_active(&self, n: u64) {
-        self.tracks_active.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Snapshots every counter into a serializable report. `workers` is
-    /// echoed into the report; `system` carries simulator counters when
-    /// the detector runs on the TrueNorth substrate.
-    pub fn report(&self, workers: usize, system: Option<SystemStats>) -> RuntimeReport {
+    /// Snapshots every counter into a serializable report, labelled with
+    /// the kernel path the process serves on now. `workers` is echoed
+    /// into the report.
+    pub fn report(&self, workers: usize) -> RuntimeReport {
         RuntimeReport {
             workers,
-            frames_served: self.frames_served.load(Ordering::Relaxed),
-            windows_scored: self.windows_scored.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
+            counters: Counters(std::array::from_fn(|i| self.counters[i].load(Ordering::Relaxed))),
             batch_latency: self.latency().clone(),
-            degraded_batches: self.degraded_batches.load(Ordering::Relaxed),
-            degraded_frames: self.degraded_frames.load(Ordering::Relaxed),
-            health_failures: self.health_failures.load(Ordering::Relaxed),
             levels: Vec::new(),
-            panics_caught: self.panics_caught.load(Ordering::Relaxed),
-            cells_reused: self.cells_reused.load(Ordering::Relaxed),
-            cells_recomputed: self.cells_recomputed.load(Ordering::Relaxed),
-            tracks_active: self.tracks_active.load(Ordering::Relaxed),
             kernel_backend: pcnn_kernels::backend_summary(),
-            system,
         }
+    }
+}
+
+/// One count per [`Counter`], the counter table of a [`RuntimeReport`];
+/// index it by counter: `report.counters[Counter::Frames]`.
+///
+/// It serializes as `[name, value]` pairs under the counters' trace
+/// names, zero counts left out. Decoding refuses an unknown or repeated
+/// name, and a name left out reads 0.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Counters([u64; Counter::ALL.len()]);
+
+impl Counters {
+    /// The non-zero counts, in [`Counter::ALL`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (Counter, u64)> {
+        Counter::ALL.into_iter().zip(self.0).filter(|&(_, n)| n > 0)
+    }
+}
+
+impl std::ops::Index<Counter> for Counters {
+    type Output = u64;
+
+    fn index(&self, counter: Counter) -> &u64 {
+        &self.0[counter as usize]
+    }
+}
+
+impl Serialize for Counters {
+    fn to_value(&self) -> Value {
+        Value::Array(self.iter().map(|(counter, n)| (counter.name(), n).to_value()).collect())
+    }
+}
+
+impl Deserialize for Counters {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let mut counters = Counters::default();
+        let mut seen = [false; Counter::ALL.len()];
+        for (name, n) in Vec::<(String, u64)>::from_value(value)? {
+            let Some(counter) = Counter::from_name(&name) else {
+                return Err(serde::Error::msg(format!("unknown counter `{name}` in counters")));
+            };
+            if std::mem::replace(&mut seen[counter as usize], true) {
+                return Err(serde::Error::msg(format!("counter `{name}` repeated in counters")));
+            }
+            counters.0[counter as usize] = n;
+        }
+        Ok(counters)
     }
 }
 
@@ -254,61 +245,47 @@ pub struct LevelReport {
 pub struct RuntimeReport {
     /// Worker threads the runtime was configured with.
     pub workers: usize,
-    /// Frames fully detected (pyramid through NMS).
-    pub frames_served: u64,
-    /// Sliding windows scored across all frames and pyramid levels.
-    pub windows_scored: u64,
-    /// Batches executed.
-    pub batches: u64,
+    /// Every count, by [`Counter`]: `frames` served (pyramid through
+    /// NMS), `windows` scored, `batches` executed, the stream cache's
+    /// `cells_reused`/`cells_recomputed` and `tracks_active`, the
+    /// fallback chain's `degraded_batches`, `degraded_frames` and
+    /// `health_failures`, and `panics_caught`. A cluster's aggregate
+    /// adds its edge counts: `frames_routed`, `frames_shed`, `swaps`,
+    /// `failovers`, `respawns`, `retries`, `deadlines_exceeded` and
+    /// `stalls`.
+    pub counters: Counters,
     /// Batch wall time in microseconds, one sample per batch.
     pub batch_latency: Histogram,
-    /// Batches served below the primary fallback-chain level.
-    #[serde(default)]
-    pub degraded_batches: u64,
-    /// Frames served below the primary fallback-chain level.
-    #[serde(default)]
-    pub degraded_frames: u64,
-    /// Health probes that failed (one per skipped level per batch).
-    #[serde(default)]
-    pub health_failures: u64,
     /// Per-level batch counts, in fallback-chain preference order.
     /// Empty when the server has no fallback chain.
     #[serde(default)]
     pub levels: Vec<LevelReport>,
-    /// Worker panics caught and isolated to their frame.
-    #[serde(default)]
-    pub panics_caught: u64,
-    /// Pyramid cells served from stream temporal caches.
-    #[serde(default)]
-    pub cells_reused: u64,
-    /// Pyramid cells recomputed because their pixels changed.
-    #[serde(default)]
-    pub cells_recomputed: u64,
-    /// Live-track observations summed over tracked stream frames.
-    #[serde(default)]
-    pub tracks_active: u64,
     /// The kernel path and SIMD tier this process serves on, e.g.
-    /// `"trinary+avx2"` or `"f32+scalar"`. Snapshotted from
-    /// [`pcnn_kernels::backend_summary`] at report time, so the trinary
-    /// half reflects whether a multiply-free GEMM has actually run.
+    /// `"trinary+avx2"` or `"f32+scalar"`. Read from
+    /// [`pcnn_kernels::backend_summary`] when the report is taken, so
+    /// the trinary half reflects whether a multiply-free GEMM has
+    /// actually run by then.
     #[serde(default)]
     pub kernel_backend: String,
-    /// Neurosynaptic-simulator counters, when the extractor or
-    /// classifier runs on the simulated TrueNorth substrate.
-    pub system: Option<SystemStats>,
 }
 
 impl RuntimeReport {
     /// Combines two reports into one, the primitive a cluster-level
     /// aggregate is built from: counters sum, latency histograms merge
-    /// bucket by bucket ([`Histogram::merge`]), per-level batch counts
-    /// merge by label, and simulator counters sum field-wise when both
-    /// sides carry them. `workers` sums, so an aggregate over shards
-    /// reports the total worker threads serving.
+    /// bucket by bucket ([`Histogram::merge`]) and per-level batch
+    /// counts merge by label. `workers` sums, so an aggregate over
+    /// shards reports the total worker threads serving.
     ///
-    /// A fresh all-zero report is the identity: `zero.merge(&r)` equals
-    /// `r` in every counter.
+    /// `kernel_backend` is `self`'s, never combined: a label is read
+    /// when a report is taken, so merging into a fresh report labels the
+    /// result with the kernel path serving now. A fresh all-zero report
+    /// is otherwise the identity: `zero.merge(&r)` equals `r` in every
+    /// counter.
     pub fn merge(&self, other: &RuntimeReport) -> RuntimeReport {
+        let mut counters = self.counters;
+        for (sum, n) in counters.0.iter_mut().zip(other.counters.0) {
+            *sum += n;
+        }
         let mut levels = self.levels.clone();
         for level in &other.levels {
             match levels.iter_mut().find(|l| l.label == level.label) {
@@ -316,93 +293,32 @@ impl RuntimeReport {
                 None => levels.push(level.clone()),
             }
         }
-        let system = match (&self.system, &other.system) {
-            (Some(a), Some(b)) => Some(SystemStats {
-                ticks: a.ticks + b.ticks,
-                routed_spikes: a.routed_spikes + b.routed_spikes,
-                output_spikes: a.output_spikes + b.output_spikes,
-                injected_spikes: a.injected_spikes + b.injected_spikes,
-                synaptic_events: a.synaptic_events + b.synaptic_events,
-            }),
-            (a, b) => (*a).or(*b),
-        };
         RuntimeReport {
             workers: self.workers + other.workers,
-            frames_served: self.frames_served + other.frames_served,
-            windows_scored: self.windows_scored + other.windows_scored,
-            batches: self.batches + other.batches,
+            counters,
             batch_latency: self.batch_latency.merge(&other.batch_latency),
-            degraded_batches: self.degraded_batches + other.degraded_batches,
-            degraded_frames: self.degraded_frames + other.degraded_frames,
-            health_failures: self.health_failures + other.health_failures,
             levels,
-            panics_caught: self.panics_caught + other.panics_caught,
-            cells_reused: self.cells_reused + other.cells_reused,
-            cells_recomputed: self.cells_recomputed + other.cells_recomputed,
-            tracks_active: self.tracks_active + other.tracks_active,
-            kernel_backend: if self.kernel_backend.is_empty() {
-                other.kernel_backend.clone()
-            } else {
-                self.kernel_backend.clone()
-            },
-            system,
+            kernel_backend: self.kernel_backend.clone(),
         }
     }
 }
 
 impl std::fmt::Display for RuntimeReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "runtime report ({} workers)", self.workers)?;
-        writeln!(f, "  frames served {:>8}   batches {:>6}", self.frames_served, self.batches)?;
-        writeln!(f, "  windows scored {:>10}", self.windows_scored)?;
+        write!(f, "runtime report ({} workers)", self.workers)?;
         if !self.kernel_backend.is_empty() {
-            writeln!(f, "  kernel backend: {}", self.kernel_backend)?;
+            write!(f, "\n  kernel backend: {}", self.kernel_backend)?;
         }
-        let ms = |us: Option<u64>| us.map_or(f64::NAN, |us| us as f64 / 1e3);
-        write!(
-            f,
-            "  batch latency: p50 {:.2}ms  p99 {:.2}ms",
-            ms(self.batch_latency.p50()),
-            ms(self.batch_latency.p99())
-        )?;
-        if self.panics_caught > 0 {
-            writeln!(f)?;
-            write!(f, "  supervision: {} panics caught", self.panics_caught)?;
+        let latency = &self.batch_latency;
+        if let (Some(p50), Some(p99)) = (latency.p50(), latency.p99()) {
+            let (p50, p99) = (p50 as f64 / 1e3, p99 as f64 / 1e3);
+            write!(f, "\n  batch latency: p50 {p50:.2}ms  p99 {p99:.2}ms")?;
         }
-        if self.cells_reused + self.cells_recomputed > 0 {
-            writeln!(f)?;
-            let stats = crate::cache::CacheStats {
-                cells_reused: self.cells_reused,
-                cells_recomputed: self.cells_recomputed,
-            };
-            write!(
-                f,
-                "  stream cache: {} cells reused, {} recomputed ({:.1}% hit), {} track observations",
-                self.cells_reused,
-                self.cells_recomputed,
-                stats.hit_rate() * 100.0,
-                self.tracks_active
-            )?;
+        for (counter, n) in self.counters.iter() {
+            write!(f, "\n  {:<20} {n:>10}", counter.name())?;
         }
-        if !self.levels.is_empty() {
-            writeln!(f)?;
-            write!(
-                f,
-                "  degradation: {} batches / {} frames below primary, {} probe failures",
-                self.degraded_batches, self.degraded_frames, self.health_failures
-            )?;
-            for level in &self.levels {
-                writeln!(f)?;
-                write!(f, "    {:<20} {:>6} batches", level.label, level.batches)?;
-            }
-        }
-        if let Some(s) = &self.system {
-            writeln!(f)?;
-            write!(
-                f,
-                "  truenorth: ticks {}  routed {}  synaptic events {}",
-                s.ticks, s.routed_spikes, s.synaptic_events
-            )?;
+        for level in &self.levels {
+            write!(f, "\n  level {:<20} {:>6} batches", level.label, level.batches)?;
         }
         Ok(())
     }
@@ -446,49 +362,54 @@ mod tests {
     #[test]
     fn merged_snapshots_equal_one_histogram_of_both_sample_sets() {
         let a = Metrics::new();
-        a.add_frames(2);
-        a.add_windows(10);
+        a.add(Counter::Frames, 2);
+        a.add(Counter::Windows, 10);
         a.add_batch(Duration::from_micros(50));
         a.add_batch(Duration::from_secs(10));
         let b = Metrics::new();
-        b.add_frames(4);
+        b.add(Counter::Frames, 4);
         b.add_batch(Duration::from_micros(50));
         b.add_batch(Duration::from_micros(60));
         b.add_batch(Duration::from_secs(20));
-        let (ra, rb) = (a.report(2, None), b.report(3, None));
+        let (ra, rb) = (a.report(2), b.report(3));
         let merged = ra.merge(&rb);
         assert_eq!(merged.workers, 5);
-        assert_eq!(merged.frames_served, 6);
-        assert_eq!(merged.windows_scored, 10);
-        assert_eq!(merged.batches, 5);
+        assert_eq!(merged.counters[Counter::Frames], 6);
+        assert_eq!(merged.counters[Counter::Windows], 10);
+        assert_eq!(merged.counters[Counter::Batches], 5);
         let mut both = Histogram::default();
         for us in [50, 10_000_000, 50, 60, 20_000_000] {
             both.record(us);
         }
         assert_eq!(merged.batch_latency, both, "bucket counts add");
         assert_eq!(rb.batch_latency.merge(&ra.batch_latency), both, "in either order");
-        assert_eq!(merged.batch_latency.total(), merged.batches);
+        assert_eq!(merged.batch_latency.total(), merged.counters[Counter::Batches]);
     }
 
     #[test]
     fn report_roundtrips_through_serde() {
         let m = Metrics::new();
-        m.add_frames(3);
-        m.add_windows(1000);
+        m.add(Counter::Frames, 3);
+        m.add(Counter::Windows, 1000);
         m.add_batch(Duration::from_millis(12));
-        let report = m.report(4, Some(SystemStats { ticks: 7, ..Default::default() }));
+        let report = m.report(4);
         let json = serde_json::to_string(&report).unwrap();
         let back: RuntimeReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
-        assert_eq!(back.system.unwrap().ticks, 7);
+    }
+
+    /// Whether `text` has a table line naming `counter` with value `n`.
+    fn shows(text: &str, counter: Counter, n: u64) -> bool {
+        let line = [counter.name().to_owned(), n.to_string()];
+        text.lines().any(|l| l.split_whitespace().eq(line.iter().map(String::as_str)))
     }
 
     #[test]
     fn display_is_nonempty() {
         let m = Metrics::new();
-        m.add_frames(1);
-        let text = m.report(2, None).to_string();
-        assert!(text.contains("frames served"));
+        m.add(Counter::Frames, 1);
+        let text = m.report(2).to_string();
+        assert!(shows(&text, Counter::Frames, 1), "{text}");
     }
 
     #[test]
@@ -497,13 +418,14 @@ mod tests {
         m.add_level_batch(0);
         m.add_level_batch(2);
         m.add_level_batch(9); // out of range: ignored, not a panic
-        m.add_degraded_batch(4);
-        m.add_health_failures(2);
-        let mut report = m.report(1, None);
+        m.add(Counter::DegradedBatches, 1);
+        m.add(Counter::DegradedFrames, 4);
+        m.add(Counter::HealthFailures, 2);
+        let mut report = m.report(1);
         assert_eq!(m.level_counts(), vec![1, 0, 1]);
-        assert_eq!(report.degraded_batches, 1);
-        assert_eq!(report.degraded_frames, 4);
-        assert_eq!(report.health_failures, 2);
+        assert_eq!(report.counters[Counter::DegradedBatches], 1);
+        assert_eq!(report.counters[Counter::DegradedFrames], 4);
+        assert_eq!(report.counters[Counter::HealthFailures], 2);
         report.levels = vec![
             LevelReport { label: "NApprox-HW".into(), batches: 1 },
             LevelReport { label: "Traditional-HoG".into(), batches: 1 },
@@ -511,44 +433,38 @@ mod tests {
         let json = serde_json::to_string(&report).unwrap();
         let back: RuntimeReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
-        assert!(report.to_string().contains("below primary"));
+        let text = report.to_string();
+        assert!(shows(&text, Counter::DegradedBatches, 1), "{text}");
+        assert!(shows(&text, Counter::DegradedFrames, 4), "{text}");
+        assert!(shows(&text, Counter::HealthFailures, 2), "{text}");
     }
 
     #[test]
     fn supervision_counters_reach_the_report() {
         let m = Metrics::new();
-        m.add_panics(2);
-        let report = m.report(1, None);
-        assert_eq!(report.panics_caught, 2);
+        m.add(Counter::PanicsCaught, 2);
+        let report = m.report(1);
+        assert_eq!(report.counters[Counter::PanicsCaught], 2);
         let text = report.to_string();
-        assert!(text.contains("supervision: 2 panics caught"), "{text}");
+        assert!(shows(&text, Counter::PanicsCaught, 2), "{text}");
         let json = serde_json::to_string(&report).unwrap();
         let back: RuntimeReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
     }
 
     #[test]
-    fn reports_with_the_retired_queue_and_supervision_keys_still_decode() {
-        // A report serialized while the runtime still counted queueing,
-        // retries, deadlines, stalls and checkpoints, timed stages and
-        // copied the trace profile carries nine keys this report no
-        // longer has; decoding looks fields up by name, so the extra
-        // keys are ignored.
+    fn reports_with_counters_as_fields_are_refused() {
         let m = Metrics::new();
-        m.add_frames(1);
-        m.add_panics(1);
-        let report = m.report(1, None);
-        let json = serde_json::to_string(&report).unwrap();
-        let retired = "\"frames_rejected\":2,\"max_queue_depth\":3,\"retries\":4,\
-                       \"deadline_misses\":5,\"stalls_detected\":6,\
-                       \"checkpoints_written\":7,\"checkpoints_restored\":8,\
-                       \"stage\":{\"pyramid_ms\":1.5,\"cells_ms\":2.0,\
-                       \"classify_ms\":3.0,\"nms_ms\":0.5},\
-                       \"trace\":{\"kernel_backend\":\"f32+scalar\",\"stages\":[]},";
-        let old = json.replacen('{', &format!("{{{retired}"), 1);
-        assert!(old.contains("max_queue_depth") && old.contains("classify_ms"), "{old}");
-        let back: RuntimeReport = serde_json::from_str(&old).unwrap();
-        assert_eq!(back, report);
+        m.add(Counter::Frames, 1);
+        m.add(Counter::PanicsCaught, 1);
+        let json = serde_json::to_string(&m.report(1)).unwrap();
+        let table = "\"counters\":[[\"frames\",1],[\"panics_caught\",1]]";
+        assert!(json.contains(table), "{json}");
+        // The per-field shape written before the counter table.
+        let fields = "\"frames_served\":1,\"windows_scored\":0,\"batches\":0,\
+                      \"panics_caught\":1,\"system\":null";
+        let err = serde_json::from_str::<RuntimeReport>(&json.replacen(table, fields, 1));
+        assert!(err.is_err_and(|e| e.to_string().contains("`counters`")));
         // The fixed-bucket `batch_latency` shape is refused rather than
         // read as an empty histogram.
         let buckets = "\"batch_latency\":{\"buckets\":[]}";
@@ -559,21 +475,36 @@ mod tests {
     }
 
     #[test]
+    fn counter_tables_refuse_unknown_and_repeated_names() {
+        let decode = |table: &str| serde_json::from_str::<Counters>(table);
+        let table = decode("[[\"frames\",3],[\"retries\",2]]").unwrap();
+        assert_eq!((table[Counter::Frames], table[Counter::Retries]), (3, 2));
+        assert_eq!(table[Counter::Windows], 0, "a name left out reads 0");
+        assert_eq!(decode("[]").unwrap(), Counters::default());
+        let unknown = decode("[[\"frames_served\",3]]").unwrap_err().to_string();
+        assert!(unknown.contains("unknown counter `frames_served`"), "{unknown}");
+        let repeated = decode("[[\"frames\",3],[\"frames\",0]]").unwrap_err().to_string();
+        assert!(repeated.contains("counter `frames` repeated"), "{repeated}");
+        assert!(decode("{\"frames\":3}").is_err(), "a map is not a table");
+    }
+
+    #[test]
     fn stream_counters_reach_report_merge_and_display() {
         let a = Metrics::new();
-        a.add_cells_reused(300);
-        a.add_cells_recomputed(100);
-        a.add_tracks_active(7);
+        a.add(Counter::CellsReused, 300);
+        a.add(Counter::CellsRecomputed, 100);
+        a.add(Counter::TracksActive, 7);
         let b = Metrics::new();
-        b.add_cells_reused(50);
-        b.add_tracks_active(3);
-        let merged = a.report(1, None).merge(&b.report(1, None));
-        assert_eq!(merged.cells_reused, 350);
-        assert_eq!(merged.cells_recomputed, 100);
-        assert_eq!(merged.tracks_active, 10);
-        let text = a.report(1, None).to_string();
-        assert!(text.contains("stream cache: 300 cells reused"), "{text}");
-        assert!(text.contains("75.0% hit"), "{text}");
+        b.add(Counter::CellsReused, 50);
+        b.add(Counter::TracksActive, 3);
+        let merged = a.report(1).merge(&b.report(1));
+        assert_eq!(merged.counters[Counter::CellsReused], 350);
+        assert_eq!(merged.counters[Counter::CellsRecomputed], 100);
+        assert_eq!(merged.counters[Counter::TracksActive], 10);
+        let text = merged.to_string();
+        assert!(shows(&text, Counter::CellsReused, 350), "{text}");
+        assert!(shows(&text, Counter::CellsRecomputed, 100), "{text}");
+        assert!(shows(&text, Counter::TracksActive, 10), "{text}");
         let json = serde_json::to_string(&merged).unwrap();
         let back: RuntimeReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, merged);
@@ -582,15 +513,16 @@ mod tests {
     #[test]
     fn merge_with_empty_report_is_identity() {
         let m = Metrics::with_levels(2);
-        m.add_frames(5);
-        m.add_windows(700);
+        m.add(Counter::Frames, 5);
+        m.add(Counter::Windows, 700);
         m.add_batch(Duration::from_micros(450));
         m.add_batch(Duration::from_millis(30));
         m.add_level_batch(0);
-        m.add_degraded_batch(3);
-        let mut report = m.report(4, Some(SystemStats { ticks: 9, ..Default::default() }));
+        m.add(Counter::DegradedBatches, 1);
+        m.add(Counter::DegradedFrames, 3);
+        let mut report = m.report(4);
         report.levels = vec![LevelReport { label: "primary".into(), batches: 1 }];
-        let zero = Metrics::new().report(0, None);
+        let zero = Metrics::new().report(0);
         let merged = zero.merge(&report);
         assert_eq!(merged, report, "zero.merge(r) must equal r");
         let merged = report.merge(&zero);
@@ -598,15 +530,13 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_levels_by_label_and_sums_system_stats() {
-        let mut a = Metrics::with_levels(2)
-            .report(1, Some(SystemStats { ticks: 5, routed_spikes: 7, ..Default::default() }));
+    fn merge_combines_levels_by_label() {
+        let mut a = Metrics::with_levels(2).report(1);
         a.levels = vec![
             LevelReport { label: "hw".into(), batches: 3 },
             LevelReport { label: "sw".into(), batches: 1 },
         ];
-        let mut b = Metrics::with_levels(2)
-            .report(1, Some(SystemStats { ticks: 2, synaptic_events: 11, ..Default::default() }));
+        let mut b = Metrics::with_levels(2).report(1);
         b.levels = vec![
             LevelReport { label: "sw".into(), batches: 4 },
             LevelReport { label: "floor".into(), batches: 2 },
@@ -620,24 +550,21 @@ mod tests {
                 LevelReport { label: "floor".into(), batches: 2 },
             ]
         );
-        let system = merged.system.unwrap();
-        assert_eq!(system.ticks, 7);
-        assert_eq!(system.routed_spikes, 7);
-        assert_eq!(system.synaptic_events, 11);
     }
 
     #[test]
     fn kernel_backend_reaches_report_and_display() {
-        let report = Metrics::new().report(1, None);
+        let report = Metrics::new().report(1);
         // "<numeric>+<simd>", e.g. "f32+avx2" or "trinary+scalar".
         let (numeric, simd) = report.kernel_backend.split_once('+').expect("numeric+simd label");
         assert!(numeric == "f32" || numeric == "trinary", "{numeric}");
         assert!(["scalar", "avx2", "neon"].contains(&simd), "{simd}");
-        assert!(report.to_string().contains("kernel backend"));
-        // Merge keeps a non-empty label over an empty (pre-field) one.
+        let text = report.to_string();
+        assert!(text.contains(&format!("kernel backend: {}", report.kernel_backend)), "{text}");
+        // A merge keeps the label of the report it merges into.
         let mut old = report.clone();
         old.kernel_backend = String::new();
         assert_eq!(report.merge(&old).kernel_backend, report.kernel_backend);
-        assert_eq!(old.merge(&report).kernel_backend, report.kernel_backend);
+        assert_eq!(old.merge(&report).kernel_backend, "");
     }
 }

@@ -40,7 +40,7 @@ use crate::scheduler::{plan_chunks, try_parallel_map, Chunk, WorkerPanic};
 use crate::stream::{StreamFrameResult, StreamHandle, StreamState};
 use pcnn_core::pipeline::{Detector, TrainedDetector};
 use pcnn_core::{Error, StreamId};
-use pcnn_truenorth::SystemStats;
+use pcnn_trace::Counter;
 use pcnn_vision::pyramid::{scale_pyramid, Pyramid};
 use pcnn_vision::{non_maximum_suppression, Detection, GrayImage};
 use serde::{Deserialize, Serialize};
@@ -213,10 +213,11 @@ impl<'d> DetectionServer<'d> {
             return (0, levels[0].detector());
         }
         let (index, failures) = self.chain.select();
-        self.metrics.add_health_failures(failures);
+        self.metrics.add(Counter::HealthFailures, failures);
         self.metrics.add_level_batch(index);
         if index > 0 {
-            self.metrics.add_degraded_batch(frames);
+            self.metrics.add(Counter::DegradedBatches, 1);
+            self.metrics.add(Counter::DegradedFrames, frames);
         }
         (index, levels[index].detector())
     }
@@ -236,7 +237,7 @@ impl<'d> DetectionServer<'d> {
             return Vec::new();
         }
         let (_, detector) = self.select_level(frames.len() as u64);
-        self.batch(frames.len(), || {
+        self.batch(|| {
             let mut caches = vec![CellCache::new(); frames.len()];
             self.run(detector, None, frames, &mut caches)
                 .into_iter()
@@ -245,21 +246,14 @@ impl<'d> DetectionServer<'d> {
         })
     }
 
-    /// Runs `body` over `frames` frames as one batch inside a
-    /// `runtime.batch` span, counting the frames it served and the batch
-    /// latency.
-    fn batch<T>(
-        &self,
-        frames: usize,
-        body: impl FnOnce() -> Vec<Result<T, Error>>,
-    ) -> Vec<Result<T, Error>> {
+    /// Runs `body` as one batch inside a `runtime.batch` span, counting
+    /// the frames it served and the batch latency.
+    fn batch<T>(&self, body: impl FnOnce() -> Vec<Result<T, Error>>) -> Vec<Result<T, Error>> {
         let span = pcnn_trace::span(pcnn_trace::stages::RUNTIME_BATCH);
-        if span.is_recording() {
-            span.add(pcnn_trace::Counter::Frames, frames as u64);
-        }
         let start = Instant::now();
         let results = body();
-        self.metrics.add_frames(results.iter().filter(|r| r.is_ok()).count() as u64);
+        let served = results.iter().filter(|r| r.is_ok()).count() as u64;
+        self.metrics.add_traced(&span, Counter::Frames, served);
         self.metrics.add_batch(start.elapsed());
         results
     }
@@ -293,7 +287,7 @@ impl<'d> DetectionServer<'d> {
         let mut outcome: Vec<Outcome> = frames.iter().map(|_| None).collect();
         let mut stats = vec![CacheStats::default(); frames.len()];
         let fail = |outcome: &mut [Outcome], frame: usize, stage: &str, p: WorkerPanic| {
-            self.metrics.add_panics(1);
+            self.metrics.add(Counter::PanicsCaught, 1);
             if outcome[frame].is_none() {
                 let message = p.message;
                 outcome[frame] = Some(Err(Error::WorkerPanic { stage: stage.to_owned(), message }));
@@ -367,11 +361,11 @@ impl<'d> DetectionServer<'d> {
                 }
             }
         }
-        if reuse && stage_span.is_recording() {
+        if reuse {
             let reused = stats.iter().map(|s| s.cells_reused).sum();
             let recomputed = stats.iter().map(|s| s.cells_recomputed).sum();
-            stage_span.add(pcnn_trace::Counter::CellsReused, reused);
-            stage_span.add(pcnn_trace::Counter::CellsRecomputed, recomputed);
+            self.metrics.add_traced(&stage_span, Counter::CellsReused, reused);
+            self.metrics.add_traced(&stage_span, Counter::CellsRecomputed, recomputed);
         }
         drop(stage_span);
 
@@ -415,10 +409,7 @@ impl<'d> DetectionServer<'d> {
                 Err(p) => fail(&mut outcome, chunk.frame, "classify", p),
             }
         }
-        self.metrics.add_windows(windows_scored);
-        if stage_span.is_recording() {
-            stage_span.add(pcnn_trace::Counter::Windows, windows_scored);
-        }
+        self.metrics.add_traced(&stage_span, Counter::Windows, windows_scored);
         drop(stage_span);
 
         let stage_span = pcnn_trace::span(pcnn_trace::stages::RUNTIME_NMS);
@@ -520,21 +511,15 @@ impl<'d> DetectionServer<'d> {
         img: &GrayImage,
     ) -> Result<StreamFrameResult, Error> {
         let (level, detector) = self.select_level(1);
-        let mut results = self.batch(1, || {
+        let mut results = self.batch(|| {
             let cache = std::slice::from_mut(&mut state.cache);
             let result = self.run(detector, Some(level as u64), &[img], cache);
             let result = result.into_iter().next().expect("one frame in, one result out");
             vec![result.map(|(detections, stats)| {
                 let track_span = pcnn_trace::span(pcnn_trace::stages::RUNTIME_TRACK);
                 let tracks = state.tracker.update(&detections);
-                let active = tracks.len() as u64;
-                if track_span.is_recording() {
-                    track_span.add(pcnn_trace::Counter::TracksActive, active);
-                }
+                self.metrics.add_traced(&track_span, Counter::TracksActive, tracks.len() as u64);
                 drop(track_span);
-                self.metrics.add_cells_reused(stats.cells_reused);
-                self.metrics.add_cells_recomputed(stats.cells_recomputed);
-                self.metrics.add_tracks_active(active);
                 StreamFrameResult {
                     detections,
                     tracks,
@@ -546,13 +531,12 @@ impl<'d> DetectionServer<'d> {
         results.pop().expect("one frame in, one result out")
     }
 
-    /// Snapshots the serving metrics. Pass the simulator counters when
-    /// the detector runs on the TrueNorth substrate (from
-    /// [`pcnn_core::Extractor::hardware_stats`]) to thread them into the
-    /// report. The report carries per-level batch counts and degradation
-    /// totals when the server has a fallback chain.
-    pub fn report(&self, system: Option<SystemStats>) -> RuntimeReport {
-        let mut report = self.metrics.report(self.config.workers, system);
+    /// Snapshots the serving metrics, with per-level batch counts when
+    /// the server has a fallback chain. Simulator ticks are not counted
+    /// here: the `truenorth.tick` spans and
+    /// [`pcnn_core::Extractor::hardware_stats`] carry them.
+    pub fn report(&self) -> RuntimeReport {
+        let mut report = self.metrics.report(self.config.workers);
         report.levels = self
             .chain
             .labels()

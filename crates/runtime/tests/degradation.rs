@@ -8,6 +8,7 @@ use pcnn_core::{Extractor, WindowClassifier};
 use pcnn_hog::BlockNorm;
 use pcnn_runtime::{canary_reference, DetectionServer, FallbackChain, RuntimeConfig, ServiceLevel};
 use pcnn_svm::{train, FeatureScaler, TrainConfig};
+use pcnn_trace::Counter;
 use pcnn_truenorth::FaultPlan;
 use pcnn_vision::{GrayImage, SynthConfig, SynthDataset};
 
@@ -60,11 +61,11 @@ fn dead_core_plan_degrades_to_software_fallback() {
 
     // Healthy hardware serves at the primary level.
     let healthy = server.detect_frame(&frames[0]);
-    let report = server.report(None);
+    let report = server.report();
     assert_eq!(report.levels[0].label, "NApprox-HW");
     assert_eq!(report.levels[0].batches, 1);
-    assert_eq!(report.degraded_batches, 0);
-    assert_eq!(report.health_failures, 0);
+    assert_eq!(report.counters[Counter::DegradedBatches], 0);
+    assert_eq!(report.counters[Counter::HealthFailures], 0);
 
     // Kill the whole module. The probe must notice, skip the hardware
     // level, and serve from software NApprox — identical features, so
@@ -73,12 +74,12 @@ fn dead_core_plan_degrades_to_software_fallback() {
     hw.extractor.set_fault_plan(&plan).expect("hardware extractor accepts the plan");
 
     let degraded = server.detect_frame(&frames[0]);
-    let report = server.report(None);
+    let report = server.report();
     assert_eq!(report.levels[1].label, "NApprox");
     assert_eq!(report.levels[1].batches, 1, "fallback level served the faulted batch");
-    assert_eq!(report.degraded_batches, 1);
-    assert_eq!(report.degraded_frames, 1);
-    assert!(report.health_failures >= 1, "the dead module must fail its probe");
+    assert_eq!(report.counters[Counter::DegradedBatches], 1);
+    assert_eq!(report.counters[Counter::DegradedFrames], 1);
+    assert!(report.counters[Counter::HealthFailures] >= 1, "the dead module must fail its probe");
 
     let reference_config = RuntimeConfig::builder().workers(2).build().unwrap();
     let reference = DetectionServer::new(Detector::default(), &sw_quant, reference_config).unwrap();
@@ -94,9 +95,9 @@ fn dead_core_plan_degrades_to_software_fallback() {
     // Clearing the plan restores primary-level serving.
     hw.extractor.clear_fault_plan();
     let _ = server.detect_frame(&frames[1]);
-    let report = server.report(None);
+    let report = server.report();
     assert_eq!(report.levels[0].batches, 2, "healed hardware serves at the primary level again");
-    assert_eq!(report.degraded_batches, 1, "no new degradation after healing");
+    assert_eq!(report.counters[Counter::DegradedBatches], 1, "no new degradation after healing");
 }
 
 #[test]

@@ -11,6 +11,7 @@ use pcnn_runtime::{
     Backpressure, DetectionServer, PushError, QueueConfig, RequestQueue, RuntimeConfig,
 };
 use pcnn_svm::{train, FeatureScaler, TrainConfig};
+use pcnn_trace::Counter;
 use pcnn_vision::{SynthConfig, SynthDataset};
 
 /// Trains a small SVM detector on NApprox full-precision features.
@@ -90,9 +91,9 @@ fn detect_batch_matches_per_frame_results() {
         let single = server.detect_frame(frame);
         assert_eq!(batch, &single, "frame {i} differs between detect_batch and detect_frame");
     }
-    let report = server.report(None);
-    assert_eq!(report.frames_served, 8, "4 batched + 4 one at a time");
-    assert!(report.windows_scored > 0);
+    let report = server.report();
+    assert_eq!(report.counters[Counter::Frames], 8, "4 batched + 4 one at a time");
+    assert!(report.counters[Counter::Windows] > 0);
 }
 
 #[test]

@@ -10,6 +10,7 @@ use pcnn_core::{Extractor, StreamId, WindowClassifier};
 use pcnn_hog::BlockNorm;
 use pcnn_runtime::{DetectionServer, RuntimeConfig};
 use pcnn_svm::{train, FeatureScaler, TrainConfig};
+use pcnn_trace::Counter;
 use pcnn_vision::{GrayImage, SynthConfig, SynthDataset, TemporalConfig, VideoStream};
 
 /// Trains a small SVM detector on NApprox full-precision features.
@@ -192,11 +193,19 @@ fn tracker_follows_the_stream_and_counters_reach_the_report() {
         recomputed += r.cells_recomputed;
     }
 
-    let report = server.report(None);
-    assert_eq!(report.frames_served, frames.len() as u64);
-    assert_eq!(report.cells_reused, reused, "report lost reuse counts");
-    assert_eq!(report.cells_recomputed, recomputed, "report lost recompute counts");
-    assert_eq!(report.tracks_active, track_observations, "report lost track observations");
+    let report = server.report();
+    assert_eq!(report.counters[Counter::Frames], frames.len() as u64);
+    assert_eq!(report.counters[Counter::CellsReused], reused, "report lost reuse counts");
+    assert_eq!(
+        report.counters[Counter::CellsRecomputed],
+        recomputed,
+        "report lost recompute counts"
+    );
+    assert_eq!(
+        report.counters[Counter::TracksActive],
+        track_observations,
+        "report lost track observations"
+    );
     assert!(reused > 0, "a 6-frame stream must reuse something");
 }
 

@@ -9,6 +9,7 @@ use pcnn_core::{Error, Extractor, StreamId, WindowClassifier};
 use pcnn_hog::BlockNorm;
 use pcnn_runtime::{DetectionServer, PanicInjector, RuntimeConfig};
 use pcnn_svm::{train, FeatureScaler, TrainConfig};
+use pcnn_trace::Counter;
 use pcnn_vision::{SynthConfig, SynthDataset, TemporalConfig, VideoStream};
 
 /// Trains a small SVM detector on NApprox full-precision features.
@@ -65,9 +66,9 @@ fn a_panicking_frame_fails_alone_and_the_server_keeps_serving() {
         }
         other => panic!("expected WorkerPanic for frame 1, got {other:?}"),
     }
-    let report = server.report(None);
-    assert!(report.panics_caught >= 1, "caught panic must surface in the report");
-    assert_eq!(report.frames_served, 2, "only intact frames count as served");
+    let report = server.report();
+    assert!(report.counters[Counter::PanicsCaught] >= 1, "caught panic must surface in the report");
+    assert_eq!(report.counters[Counter::Frames], 2, "only intact frames count as served");
 
     // The server survives: the injector is out of charges, so the same
     // batch now fully succeeds — no poisoned lock, no wedged worker.

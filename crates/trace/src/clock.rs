@@ -41,11 +41,6 @@ impl Clock {
             Clock::Mock(counter) => counter.fetch_add(1_000, Ordering::Relaxed),
         }
     }
-
-    /// Whether this is the deterministic mock source.
-    pub fn is_mock(&self) -> bool {
-        matches!(self, Clock::Mock(_))
-    }
 }
 
 #[cfg(test)]

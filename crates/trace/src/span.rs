@@ -10,7 +10,9 @@ pub const MAX_COUNTERS: usize = 6;
 ///
 /// One shared taxonomy keeps exporters and conformance fixtures stable:
 /// a stage never invents an ad-hoc counter name, it picks from this
-/// list. Values are totals over the span (not rates).
+/// list, and the serving reports keep their counters in a table with
+/// one slot per counter under the same names. Values are totals over
+/// the span (not rates).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Counter {
     /// Simulator ticks executed.
@@ -30,7 +32,7 @@ pub enum Counter {
     Ops,
     /// Elements moved by a packing kernel (im2col/col2im).
     Elements,
-    /// Video frames processed.
+    /// Frames served: detected end to end, pyramid through NMS.
     Frames,
     /// Sliding windows scored.
     Windows,
@@ -38,7 +40,7 @@ pub enum Counter {
     Bytes,
     /// Training epochs completed.
     Epochs,
-    /// Mini-batches processed.
+    /// Batches processed: training mini-batches, or serving batches.
     Batches,
     /// Training samples seen.
     Samples,
@@ -49,9 +51,74 @@ pub enum Counter {
     /// Active tracks observed (one observation per tracked frame, so
     /// totals are conserved across worker counts).
     TracksActive,
+    /// Serving batches run below the primary fallback-chain level.
+    DegradedBatches,
+    /// Frames offered in serving batches run below the primary
+    /// fallback-chain level.
+    DegradedFrames,
+    /// Health probes that failed (one per skipped level per batch).
+    HealthFailures,
+    /// Worker panics caught and isolated to their frame.
+    PanicsCaught,
+    /// Frames submitted to the cluster tier, shed ones included.
+    FramesRouted,
+    /// Frames shed at the cluster edge by a full shard queue.
+    FramesShed,
+    /// Completed cluster-wide blue/green model swaps.
+    Swaps,
+    /// Streams migrated off a dead shard to a survivor.
+    Failovers,
+    /// Dead or stalled shards respawned warm from a snapshot.
+    Respawns,
+    /// Failed frame attempts retried at the serving edge.
+    Retries,
+    /// Frames whose deadline expired before any attempt succeeded.
+    DeadlinesExceeded,
+    /// Shard serve loops condemned by the watchdog for heartbeat
+    /// silence with work in flight.
+    Stalls,
 }
 
 impl Counter {
+    /// Every counter, in declaration order, so `Counter::ALL[c as usize]`
+    /// is `c`: the index of a per-counter table.
+    pub const ALL: [Counter; 29] = [
+        Counter::Ticks,
+        Counter::ActiveCores,
+        Counter::SpikesDelivered,
+        Counter::SpikesRouted,
+        Counter::SynapticEvents,
+        Counter::Flops,
+        Counter::Ops,
+        Counter::Elements,
+        Counter::Frames,
+        Counter::Windows,
+        Counter::Bytes,
+        Counter::Epochs,
+        Counter::Batches,
+        Counter::Samples,
+        Counter::CellsReused,
+        Counter::CellsRecomputed,
+        Counter::TracksActive,
+        Counter::DegradedBatches,
+        Counter::DegradedFrames,
+        Counter::HealthFailures,
+        Counter::PanicsCaught,
+        Counter::FramesRouted,
+        Counter::FramesShed,
+        Counter::Swaps,
+        Counter::Failovers,
+        Counter::Respawns,
+        Counter::Retries,
+        Counter::DeadlinesExceeded,
+        Counter::Stalls,
+    ];
+
+    /// The counter whose [`name`](Counter::name) is `name`, if any.
+    pub fn from_name(name: &str) -> Option<Counter> {
+        Counter::ALL.into_iter().find(|c| c.name() == name)
+    }
+
     /// The counter's stable snake_case name, used by every exporter.
     pub fn name(self) -> &'static str {
         match self {
@@ -72,6 +139,18 @@ impl Counter {
             Counter::CellsReused => "cells_reused",
             Counter::CellsRecomputed => "cells_recomputed",
             Counter::TracksActive => "tracks_active",
+            Counter::DegradedBatches => "degraded_batches",
+            Counter::DegradedFrames => "degraded_frames",
+            Counter::HealthFailures => "health_failures",
+            Counter::PanicsCaught => "panics_caught",
+            Counter::FramesRouted => "frames_routed",
+            Counter::FramesShed => "frames_shed",
+            Counter::Swaps => "swaps",
+            Counter::Failovers => "failovers",
+            Counter::Respawns => "respawns",
+            Counter::Retries => "retries",
+            Counter::DeadlinesExceeded => "deadlines_exceeded",
+            Counter::Stalls => "stalls",
         }
     }
 }
@@ -130,29 +209,14 @@ mod tests {
 
     #[test]
     fn counter_names_are_unique() {
-        let all = [
-            Counter::Ticks,
-            Counter::ActiveCores,
-            Counter::SpikesDelivered,
-            Counter::SpikesRouted,
-            Counter::SynapticEvents,
-            Counter::Flops,
-            Counter::Ops,
-            Counter::Elements,
-            Counter::Frames,
-            Counter::Windows,
-            Counter::Bytes,
-            Counter::Epochs,
-            Counter::Batches,
-            Counter::Samples,
-            Counter::CellsReused,
-            Counter::CellsRecomputed,
-            Counter::TracksActive,
-        ];
+        let all = Counter::ALL;
         for (i, a) in all.iter().enumerate() {
+            assert_eq!(*a as usize, i, "{a} is out of declaration order");
+            assert_eq!(Counter::from_name(a.name()), Some(*a));
             for b in &all[i + 1..] {
                 assert_ne!(a.name(), b.name());
             }
         }
+        assert_eq!(Counter::from_name("frames_served"), None);
     }
 }

@@ -43,21 +43,6 @@ impl Trace {
             .fold(0, u64::saturating_add)
     }
 
-    /// Per-counter totals over every span named `name`, in first-seen
-    /// counter order.
-    pub fn counter_totals(&self, name: &str) -> Vec<(Counter, u64)> {
-        let mut totals: Vec<(Counter, u64)> = Vec::new();
-        for span in self.spans().filter(|s| s.name == name) {
-            for &(counter, value) in span.counters() {
-                match totals.iter_mut().find(|(c, _)| *c == counter) {
-                    Some(t) => t.1 = t.1.saturating_add(value),
-                    None => totals.push((counter, value)),
-                }
-            }
-        }
-        totals
-    }
-
     /// Aggregates into a per-stage [`ProfileReport`].
     pub fn profile(&self) -> ProfileReport {
         ProfileReport::from_trace(self)
@@ -67,45 +52,6 @@ impl Trace {
     /// [`chrome`](crate::chrome).
     pub fn to_chrome_json(&self) -> String {
         crate::chrome::to_chrome_json(self)
-    }
-
-    /// Renders the full span forest, one line per span, children
-    /// indented under parents:
-    ///
-    /// ```text
-    /// lane 0
-    ///   runtime.batch  frames=2
-    ///     runtime.pyramid
-    /// ```
-    ///
-    /// Durations are deliberately omitted so the output is stable under
-    /// a mock clock across machines.
-    pub fn render_tree(&self) -> String {
-        let mut out = String::new();
-        for lane in &self.lanes {
-            out.push_str(&format!("lane {}\n", lane.lane));
-            // Spans are sorted by id = open order, and a parent always
-            // opens before its children, so a single pass with a depth
-            // stack reconstructs the tree.
-            let mut stack: Vec<u32> = Vec::new();
-            for span in &lane.spans {
-                while let Some(&top) = stack.last() {
-                    if top == span.parent {
-                        break;
-                    }
-                    stack.pop();
-                }
-                let depth = stack.len() + 1;
-                out.push_str(&"  ".repeat(depth));
-                out.push_str(span.name);
-                for &(counter, value) in span.counters() {
-                    out.push_str(&format!("  {counter}={value}"));
-                }
-                out.push('\n');
-                stack.push(span.id);
-            }
-        }
-        out
     }
 
     /// Renders an aggregated summary keyed by *path* (ancestor names
@@ -127,7 +73,9 @@ impl Trace {
         }
         let mut rows: Vec<Row> = Vec::new();
         for lane in &self.lanes {
-            // (id, path index) ancestry stack, same walk as render_tree.
+            // (id, path) ancestry stack: spans are sorted by id = open
+            // order and a parent always opens before its children, so one
+            // pass reconstructs the tree.
             let mut stack: Vec<(u32, String)> = Vec::new();
             for span in &lane.spans {
                 while let Some((top, _)) = stack.last() {
@@ -212,15 +160,6 @@ mod tests {
         assert_eq!(t.counter_total("stage", Counter::Windows), 15);
         assert_eq!(t.counter_total("batch", Counter::Frames), 3);
         assert_eq!(t.counter_total("stage", Counter::Frames), 0);
-        assert_eq!(t.counter_totals("batch"), vec![(Counter::Frames, 3)]);
-    }
-
-    #[test]
-    fn render_tree_nests_children() {
-        let t = sample();
-        let tree = t.render_tree();
-        let expected = "lane 0\n  batch  frames=2\n    stage  windows=9\n    stage  windows=1\n  batch  frames=1\n    stage  windows=5\n";
-        assert_eq!(tree, expected);
     }
 
     #[test]

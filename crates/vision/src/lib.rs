@@ -12,7 +12,7 @@
 //!   walking pedestrians with spawn/despawn, occlusion, lighting drift
 //!   and camera pan, deterministic per `(seed, frame_idx)`;
 //! * [`pyramid`] — bilinear rescaling and the 1.1×-spaced scale pyramid;
-//! * [`window`] — 64×128 sliding detection windows;
+//! * [`window`] — the 64×128 detection window and scored detections;
 //! * [`bbox`] — boxes and overlap math;
 //! * [`nms`] — greedy non-maximum suppression (ε = 0.2);
 //! * [`eval`] — the Dollár et al. evaluation protocol: detections are true
@@ -39,4 +39,4 @@ pub use nms::non_maximum_suppression;
 pub use pyramid::{scale_pyramid, Pyramid};
 pub use synth::{SynthConfig, SynthDataset, SynthScene};
 pub use temporal::{ActorState, SceneState, TemporalConfig, VideoStream};
-pub use window::{Detection, WindowIter, WINDOW_HEIGHT, WINDOW_WIDTH};
+pub use window::{Detection, WINDOW_HEIGHT, WINDOW_WIDTH};

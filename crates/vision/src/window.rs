@@ -1,11 +1,10 @@
-//! Sliding detection windows.
+//! Detection windows.
 //!
 //! The standard pedestrian HoG window is 64×128 pixels (8×16 cells of 8×8
-//! pixels). Windows slide with a configurable stride — 8 px (one cell) in
-//! the classic pipeline — across every pyramid level.
+//! pixels). Windows slide one cell at a time across every pyramid level;
+//! `pcnn_core`'s `Detector::window_grid` enumerates them.
 
 use crate::bbox::BoundingBox;
-use crate::image::GrayImage;
 use serde::{Deserialize, Serialize};
 
 /// Detection window width in pixels.
@@ -20,115 +19,4 @@ pub struct Detection {
     pub bbox: BoundingBox,
     /// The classifier score (higher = more confident).
     pub score: f32,
-}
-
-/// Iterator over sliding-window origins in one image.
-#[derive(Debug, Clone)]
-pub struct WindowIter {
-    img_w: usize,
-    img_h: usize,
-    stride: usize,
-    x: usize,
-    y: usize,
-    done: bool,
-}
-
-impl WindowIter {
-    /// Windows of `WINDOW_WIDTH × WINDOW_HEIGHT` over an image of the given
-    /// size with the given stride.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride == 0`.
-    pub fn new(img_w: usize, img_h: usize, stride: usize) -> Self {
-        assert!(stride > 0, "stride must be positive");
-        WindowIter {
-            img_w,
-            img_h,
-            stride,
-            x: 0,
-            y: 0,
-            done: img_w < WINDOW_WIDTH || img_h < WINDOW_HEIGHT,
-        }
-    }
-
-    /// Convenience constructor from an image.
-    pub fn over(img: &GrayImage, stride: usize) -> Self {
-        Self::new(img.width(), img.height(), stride)
-    }
-
-    /// Number of windows the iterator will yield.
-    pub fn count_windows(&self) -> usize {
-        if self.img_w < WINDOW_WIDTH || self.img_h < WINDOW_HEIGHT {
-            return 0;
-        }
-        let nx = (self.img_w - WINDOW_WIDTH) / self.stride + 1;
-        let ny = (self.img_h - WINDOW_HEIGHT) / self.stride + 1;
-        nx * ny
-    }
-}
-
-impl Iterator for WindowIter {
-    /// Top-left `(x, y)` of each window.
-    type Item = (usize, usize);
-
-    fn next(&mut self) -> Option<(usize, usize)> {
-        if self.done {
-            return None;
-        }
-        let item = (self.x, self.y);
-        self.x += self.stride;
-        if self.x + WINDOW_WIDTH > self.img_w {
-            self.x = 0;
-            self.y += self.stride;
-            if self.y + WINDOW_HEIGHT > self.img_h {
-                self.done = true;
-            }
-        }
-        Some(item)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn exact_fit_yields_one_window() {
-        let it = WindowIter::new(WINDOW_WIDTH, WINDOW_HEIGHT, 8);
-        let ws: Vec<_> = it.collect();
-        assert_eq!(ws, vec![(0, 0)]);
-    }
-
-    #[test]
-    fn too_small_yields_none() {
-        assert_eq!(WindowIter::new(63, 128, 8).count(), 0);
-        assert_eq!(WindowIter::new(64, 127, 8).count(), 0);
-    }
-
-    #[test]
-    fn stride_grid() {
-        let it = WindowIter::new(64 + 16, 128 + 8, 8);
-        let ws: Vec<_> = it.clone().collect();
-        // x in {0, 8, 16}, y in {0, 8}.
-        assert_eq!(ws.len(), 6);
-        assert_eq!(it.count_windows(), 6);
-        assert!(ws.contains(&(16, 8)));
-    }
-
-    #[test]
-    fn count_matches_iteration_for_many_sizes() {
-        for (w, h, s) in [(320, 240, 8), (100, 200, 16), (64, 128, 4), (65, 129, 3)] {
-            let it = WindowIter::new(w, h, s);
-            assert_eq!(it.count_windows(), it.clone().count(), "size {w}x{h} stride {s}");
-        }
-    }
-
-    #[test]
-    fn windows_stay_in_bounds() {
-        for (x, y) in WindowIter::new(150, 200, 8) {
-            assert!(x + WINDOW_WIDTH <= 150);
-            assert!(y + WINDOW_HEIGHT <= 200);
-        }
-    }
 }

@@ -15,6 +15,7 @@ use pcnn::core::{Extractor, PartitionedSystem, StreamId, TrainSetConfig};
 use pcnn::hog::BlockNorm;
 use pcnn::runtime::{Backpressure, RetryPolicy};
 use pcnn::store::CheckpointDir;
+use pcnn::trace::Counter;
 use pcnn::vision::{SynthConfig, SynthDataset, TemporalConfig, VideoStream};
 use std::time::Duration;
 
@@ -98,7 +99,11 @@ fn main() {
     let report = cluster.report();
     print!("\n{report}");
     assert_eq!(served, frames.len(), "the tier must absorb the outage without losing a frame");
-    assert_eq!(report.respawns, 1, "the killed shard respawns warm from the checkpoint");
+    assert_eq!(
+        report.aggregate.counters[Counter::Respawns],
+        1,
+        "the killed shard respawns warm from the checkpoint"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

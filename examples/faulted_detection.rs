@@ -107,7 +107,13 @@ fn main() {
         println!("  {} detection(s)", dets.len());
     }
 
-    println!("\n{}", server.report(primary.extractor.hardware_stats()));
+    println!("\n{}", server.report());
+    if let Some(s) = primary.extractor.hardware_stats() {
+        println!(
+            "truenorth: ticks {}  routed {}  synaptic events {}",
+            s.ticks, s.routed_spikes, s.synaptic_events
+        );
+    }
     if let Some(stats) = primary.extractor.fault_stats() {
         println!(
             "fault activity: {} suppressed deliveries, {} dropped spikes, {} forced firings",

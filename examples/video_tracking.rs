@@ -52,5 +52,5 @@ fn main() {
         }
     }
 
-    println!("\n{}", server.report(None));
+    println!("\n{}", server.report());
 }
